@@ -9,7 +9,7 @@
 
 use icache_baselines::LruCache;
 use icache_bench::{banner, sweep, BenchEnv};
-use icache_core::{CacheSystem, DistributedCache, DistributedConfig};
+use icache_core::{CacheService, CacheSystem, ServiceConfig};
 use icache_dnn::ModelProfile;
 use icache_obs::json;
 use icache_sim::{report, run_multi_job, JobConfig, PerJobCache, SamplingMode};
@@ -91,11 +91,10 @@ fn main() {
         .expect("runs");
 
         // iCache: the distributed cache with a shared directory.
-        let mut icache_cache = DistributedCache::new(
-            DistributedConfig::for_dataset(&dataset, nodes as usize, 0.2).expect("valid cluster"),
-            &dataset,
-        )
-        .expect("valid cluster");
+        let config = ServiceConfig::for_dataset(&dataset, nodes as usize, 0.2)
+            .expect("valid cluster")
+            .quiet();
+        let mut icache_cache = CacheService::new(config, &dataset).expect("valid cluster");
         let mut nfs = Nfs::new(NfsConfig::cloud_default()).expect("valid nfs");
         let icache = run_multi_job(
             job_configs(model, &dataset, nodes, true, env.perf_epochs, env.seed),

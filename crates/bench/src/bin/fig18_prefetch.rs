@@ -13,7 +13,7 @@
 
 use icache_bench::{banner, workload, BenchEnv};
 use icache_obs::{json, Obs};
-use icache_sim::replay::{replay_prefetch, AccessPattern};
+use icache_sim::replay::{replay, AccessPattern};
 use icache_sim::{report, StorageKind};
 use icache_types::{ByteSize, DatasetBuilder, JobId, SimDuration, SizeModel};
 
@@ -89,7 +89,7 @@ fn main() {
             cache.set_obs(obs.clone());
             storage.set_obs(obs.clone());
             cache.on_epoch_start(JobId(0), icache_types::Epoch(0));
-            let pr = replay_prefetch(
+            let pr = replay(
                 &trace,
                 &dataset,
                 cache.as_mut(),
@@ -97,8 +97,7 @@ fn main() {
                 depth,
                 compute,
                 obs.clone(),
-            )
-            .unwrap_or_else(|e| panic!("{name} depth {depth}: {e}"));
+            );
             row.push(format!("{}", pr.stall));
             policy_stalls.push(pr.stall.as_nanos());
             report::json_line(
@@ -106,8 +105,8 @@ fn main() {
                 &json!({"policy": name,
                         "depth": depth,
                         "stall_nanos": pr.stall.as_nanos(),
-                        "hit_ratio": pr.report.hit_ratio(),
-                        "elapsed_nanos": pr.report.elapsed.as_nanos(),
+                        "hit_ratio": pr.hit_ratio(),
+                        "elapsed_nanos": pr.elapsed.as_nanos(),
                         "issued": pr.prefetch.issued,
                         "hits": pr.prefetch.hits,
                         "late": pr.prefetch.late,

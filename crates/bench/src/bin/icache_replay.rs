@@ -8,26 +8,7 @@
 //! cargo run --release -p icache-bench --bin icache_replay -- --trace my.jsonl
 //! ```
 //!
-//! Flags: `--pattern uniform|zipf|scan|shuffle`, `--skew <f>` (zipf),
-//! `--requests <n>`, `--universe <n>`, `--cache-frac <f>`,
-//! `--storage orangefs|nfs|tmpfs|ssd`, `--seed <n>`,
-//! `--trace <file.jsonl>` (overrides `--pattern`),
-//! `--trace-out <file.jsonl>` (write each policy's structured event trace
-//! to its own file — `out.jsonl` becomes `out.lru.jsonl`,
-//! `out.icache.jsonl`, … — so event streams never interleave and every
-//! file's `seq` starts at 0),
-//! `--json <file.json>` (write a per-policy summary with the
-//! observability counters, latency histograms, and trace accounting),
-//! `--parallel [n|auto]` (replay the policies on `n` worker threads —
-//! bare `--parallel` or `auto` uses the machine's parallelism; see
-//! DESIGN.md §8),
-//! `--loader-threads <n>` (serve ONE cache from `n` concurrent loader
-//! threads — the lock-striped in-node path; see DESIGN.md §8),
-//! `--prefetch-depth <n>` (clairvoyant prefetch lookahead; 0 — the
-//! default — disables the pipeline and is byte-identical to the plain
-//! driver; see DESIGN.md §11),
-//! `--compute-us <n>` (simulated per-sample compute for the prefetch
-//! overlap clock, default 50 µs; requires `--prefetch-depth >= 1`).
+//! `icache_replay --help` prints the flag table.
 //!
 //! With `--prefetch-depth N` (N ≥ 1) each policy replays under a
 //! compute/IO overlap clock: a prefetcher issues the trace's known
@@ -48,8 +29,8 @@
 //! from `--seed` alone, and results are printed in policy order after
 //! all workers join.
 //!
-//! `--loader-threads 1` (the default) short-circuits to the sequential
-//! driver and is byte-identical to it. With `n > 1` each policy is
+//! `--loader-threads 1` (the default) is the sequential driver. With
+//! `n > 1` each policy is
 //! built as a shared `ConcurrentCache` (`icache` gets the lock-striped
 //! `ConcurrentManager`, baselines a coarse-lock `MutexCache`), the
 //! trace is split round-robin across the loader threads, and results
@@ -63,32 +44,59 @@
 //! the replay report, so every per-policy snapshot satisfies
 //! `h_hits + l_hits + pm_hits + substitutions + misses == accesses`.
 
+use icache_bench::cli::{Args, Flag, Spec};
 use icache_bench::{sweep, workload};
+use icache_obs::{Json, Obs};
 use icache_sampling::HList;
-use icache_sim::replay::{replay, replay_prefetch, summarize, AccessPattern, Trace};
+use icache_sim::replay::{
+    replay, replay_concurrent, summarize, AccessPattern, ReplayReport, Trace,
+};
 use icache_sim::{report, StorageKind};
-use icache_types::{ByteSize, Dataset, DatasetBuilder, JobId, SimDuration, SizeModel};
-use std::collections::HashMap;
+use icache_types::{ByteSize, Dataset, DatasetBuilder, Epoch, JobId, SimDuration, SizeModel};
 use std::process::ExitCode;
 
-fn parse_args() -> Result<HashMap<String, String>, String> {
-    let mut out = HashMap::new();
-    let mut args = std::env::args().skip(1).peekable();
-    while let Some(flag) = args.next() {
-        let Some(key) = flag.strip_prefix("--") else {
-            return Err(format!("unexpected argument `{flag}`"));
-        };
-        // A flag followed by another flag (or by nothing) is value-less:
-        // bare `--parallel` means `--parallel auto`. No flag's value can
-        // legitimately start with `--`.
-        let value = match args.peek() {
-            Some(next) if !next.starts_with("--") => args.next().unwrap_or_default(),
-            _ => String::new(),
-        };
-        out.insert(key.to_string(), value);
-    }
-    Ok(out)
-}
+const SPEC: Spec = Spec {
+    program: "icache_replay",
+    about: "replay an access pattern (or a recorded trace) through every cache policy",
+    flags: &[
+        Flag::required("pattern", "uniform, zipf, scan or shuffle (default zipf)"),
+        Flag::required("skew", "zipf skew exponent (default 1.1)"),
+        Flag::required("requests", "accesses to generate (default 50000)"),
+        Flag::required("universe", "samples in the dataset (default 20000)"),
+        Flag::required("cache-frac", "cache fraction of the dataset (default 0.1)"),
+        Flag::required("storage", "orangefs, nfs, tmpfs or ssd (default orangefs)"),
+        Flag::required("seed", "run seed (default 7)"),
+        Flag::required(
+            "trace",
+            "replay this recorded request log (JSONL) instead of --pattern",
+        ),
+        Flag::required(
+            "trace-out",
+            "write each policy's event trace to its own file: out.jsonl becomes \
+             out.lru.jsonl, out.icache.jsonl, ...",
+        ),
+        Flag::required(
+            "json",
+            "write a per-policy summary (counters, histograms) to this JSON path",
+        ),
+        Flag::optional(
+            "parallel",
+            "replay the policies on n worker threads; bare or `auto` = all cores",
+        ),
+        Flag::required(
+            "loader-threads",
+            "serve ONE cache per policy from n loader threads (default 1)",
+        ),
+        Flag::required(
+            "prefetch-depth",
+            "clairvoyant prefetch lookahead, 0 = fetch on demand (default 0)",
+        ),
+        Flag::required(
+            "compute-us",
+            "per-sample compute in microseconds; needs --prefetch-depth >= 1 (default 50)",
+        ),
+    ],
+};
 
 /// `out.jsonl` + `lru` → `out.lru.jsonl`; a path with no extension gets
 /// the policy name appended instead.
@@ -119,6 +127,7 @@ struct ReplayCtx<'a> {
     trace_out: Option<&'a str>,
     prefetch_depth: usize,
     compute: SimDuration,
+    loader_threads: usize,
 }
 
 /// Everything one policy replay produces, rendered but not yet printed:
@@ -128,14 +137,11 @@ struct PolicyOutput {
     row: Vec<String>,
     line: String,
     trace_note: Option<String>,
-    summary: (String, icache_obs::Json),
+    summary: (String, Json),
 }
 
-fn run_policy(name: &str, ctx: &ReplayCtx) -> Result<PolicyOutput, String> {
-    // One observability ring per policy: event streams never interleave
-    // and each trace file's seq numbering starts at 0. The cache is
-    // built here, inside the (possibly worker-thread) task.
-    let obs = icache_obs::Obs::new();
+/// Replay one policy from a single consumer.
+fn replay_sequential(name: &str, ctx: &ReplayCtx, obs: &Obs) -> Result<ReplayReport, String> {
     let mut cache = workload::build_policy(
         name,
         ctx.dataset,
@@ -147,24 +153,69 @@ fn run_policy(name: &str, ctx: &ReplayCtx) -> Result<PolicyOutput, String> {
     let mut storage = ctx.storage_kind.build().map_err(|e| e.to_string())?;
     cache.set_obs(obs.clone());
     storage.set_obs(obs.clone());
-    cache.on_epoch_start(JobId(0), icache_types::Epoch(0));
-    let (rep, stall) = if ctx.prefetch_depth > 0 {
-        let pr = replay_prefetch(
-            ctx.trace,
-            ctx.dataset,
-            cache.as_mut(),
-            storage.as_mut(),
-            ctx.prefetch_depth,
-            ctx.compute,
-            obs.clone(),
-        )
-        .map_err(|e| e.to_string())?;
-        (pr.report, Some(pr.stall))
+    cache.on_epoch_start(JobId(0), Epoch(0));
+    Ok(replay(
+        ctx.trace,
+        ctx.dataset,
+        cache.as_mut(),
+        storage.as_mut(),
+        ctx.prefetch_depth,
+        ctx.compute,
+        obs.clone(),
+    ))
+}
+
+/// Replay one policy as a shared concurrent cache served by
+/// `ctx.loader_threads` loader threads. Also returns the number of lock
+/// acquisitions that had to wait.
+fn replay_shared(name: &str, ctx: &ReplayCtx, obs: &Obs) -> Result<(ReplayReport, u64), String> {
+    let cache = workload::build_concurrent_policy(
+        name,
+        ctx.dataset,
+        ctx.cap,
+        ctx.cache_frac,
+        ctx.seed,
+        ctx.hlist,
+        ctx.loader_threads,
+    )?;
+    cache.set_obs(obs.clone());
+    cache.on_epoch_start(JobId(0), Epoch(0));
+    let rep = replay_concurrent(
+        ctx.trace,
+        ctx.dataset,
+        cache.as_ref(),
+        ctx.loader_threads,
+        ctx.seed,
+        || ctx.storage_kind.build(),
+    )
+    .map_err(|e| e.to_string())?;
+    // Publishes the cache.stripe.* gauges and the counter deltas
+    // accumulated over the replay into this policy's registry.
+    cache.on_epoch_end(JobId(0), Epoch(0));
+    Ok((rep, cache.contended()))
+}
+
+/// The table column the active mode adds, if any.
+fn extra_column(ctx: &ReplayCtx) -> Option<&'static str> {
+    if ctx.loader_threads > 1 {
+        Some("contended")
+    } else if ctx.prefetch_depth > 0 {
+        Some("stall")
     } else {
-        (
-            replay(ctx.trace, ctx.dataset, cache.as_mut(), storage.as_mut()),
-            None,
-        )
+        None
+    }
+}
+
+fn run_policy(name: &str, ctx: &ReplayCtx) -> Result<PolicyOutput, String> {
+    // One observability ring per policy: event streams never interleave
+    // and each trace file's seq numbering starts at 0. The cache is
+    // built here, inside the (possibly worker-thread) task.
+    let obs = Obs::new();
+    let (rep, contended) = if ctx.loader_threads > 1 {
+        let (rep, contended) = replay_shared(name, ctx, &obs)?;
+        (rep, Some(contended))
+    } else {
+        (replay_sequential(name, ctx, &obs)?, None)
     };
     // The replay driver's own accounting: baselines record nothing
     // into the registry themselves, so these six counters make every
@@ -183,9 +234,13 @@ fn run_policy(name: &str, ctx: &ReplayCtx) -> Result<PolicyOutput, String> {
         format!("{}", rep.elapsed),
     ];
     let mut line = format!("{name:8} {}", summarize(&rep));
-    if let Some(stall) = stall {
-        row.push(format!("{stall}"));
-        line = format!("{line} | stall {stall}");
+    if let Some(column) = extra_column(ctx) {
+        let value = match contended {
+            Some(n) => n.to_string(),
+            None => rep.stall.to_string(),
+        };
+        line = format!("{line} | {column} {value}");
+        row.push(value);
     }
     let trace_note = match ctx.trace_out {
         Some(path) => {
@@ -199,28 +254,23 @@ fn run_policy(name: &str, ctx: &ReplayCtx) -> Result<PolicyOutput, String> {
         }
         None => None,
     };
+    // The concurrent path publishes counters, not events: its summary
+    // carries the contention count where the others carry trace
+    // accounting.
+    let detail = match contended {
+        Some(n) => ("contended".to_string(), Json::UInt(n)),
+        None => (
+            "trace".to_string(),
+            Json::Obj(vec![
+                ("emitted".into(), Json::UInt(obs.trace_emitted())),
+                ("recorded".into(), Json::UInt(obs.trace_len() as u64)),
+                ("dropped".into(), Json::UInt(obs.trace_dropped())),
+            ]),
+        ),
+    };
     let summary = (
         name.to_string(),
-        icache_obs::Json::Obj(vec![
-            ("metrics".into(), obs.metrics_snapshot()),
-            (
-                "trace".into(),
-                icache_obs::Json::Obj(vec![
-                    (
-                        "emitted".into(),
-                        icache_obs::Json::UInt(obs.trace_emitted()),
-                    ),
-                    (
-                        "recorded".into(),
-                        icache_obs::Json::UInt(obs.trace_len() as u64),
-                    ),
-                    (
-                        "dropped".into(),
-                        icache_obs::Json::UInt(obs.trace_dropped()),
-                    ),
-                ]),
-            ),
-        ]),
+        Json::Obj(vec![("metrics".into(), obs.metrics_snapshot()), detail]),
     );
     Ok(PolicyOutput {
         row,
@@ -230,99 +280,13 @@ fn run_policy(name: &str, ctx: &ReplayCtx) -> Result<PolicyOutput, String> {
     })
 }
 
-/// Replay every policy as a shared concurrent cache served by
-/// `threads` loader threads. Output mirrors the sequential driver's
-/// table plus a `contended` column (lock acquisitions that had to
-/// wait).
-fn run_concurrent(threads: usize, ctx: &ReplayCtx, json_path: Option<&str>) -> Result<(), String> {
-    let mut policy_summaries: Vec<(String, icache_obs::Json)> = Vec::new();
-    let mut out =
-        report::Table::with_columns(&["policy", "hit%", "p50", "p99", "elapsed", "contended"]);
-    for &name in workload::POLICIES.iter() {
-        let obs = icache_obs::Obs::new();
-        let cache = workload::build_concurrent_policy(
-            name,
-            ctx.dataset,
-            ctx.cap,
-            ctx.cache_frac,
-            ctx.seed,
-            ctx.hlist,
-            threads,
-        )?;
-        cache.set_obs(obs.clone());
-        cache.on_epoch_start(JobId(0), icache_types::Epoch(0));
-        let rep = icache_sim::replay::replay_concurrent(
-            ctx.trace,
-            ctx.dataset,
-            cache.as_ref(),
-            threads,
-            ctx.seed,
-            || ctx.storage_kind.build(),
-        )
-        .map_err(|e| e.to_string())?;
-        // Publishes the cache.stripe.* gauges and the counter deltas
-        // accumulated over the replay into this policy's registry.
-        cache.on_epoch_end(JobId(0), icache_types::Epoch(0));
-        obs.add("replay.accesses", ctx.trace.len() as u64);
-        obs.add("replay.h_hits", rep.stats.h_hits);
-        obs.add("replay.l_hits", rep.stats.l_hits);
-        obs.add("replay.pm_hits", rep.stats.pm_hits);
-        obs.add("replay.substitutions", rep.stats.substitutions);
-        obs.add("replay.misses", rep.stats.misses);
-        let contended = cache.contended();
-        out.row(vec![
-            name.to_string(),
-            format!("{:.1}", rep.hit_ratio() * 100.0),
-            format!("{}", rep.latency.quantile(0.5)),
-            format!("{}", rep.latency.quantile(0.99)),
-            format!("{}", rep.elapsed),
-            format!("{contended}"),
-        ]);
-        println!("{name:8} {} | contended {contended}", summarize(&rep));
-        policy_summaries.push((
-            name.to_string(),
-            icache_obs::Json::Obj(vec![
-                ("metrics".into(), obs.metrics_snapshot()),
-                ("contended".into(), icache_obs::Json::UInt(contended)),
-            ]),
-        ));
-    }
-    println!();
-    println!("{}", out.render());
-    if let Some(path) = json_path {
-        let summary = icache_obs::Json::Obj(vec![
-            (
-                "accesses".into(),
-                icache_obs::Json::UInt(ctx.trace.len() as u64),
-            ),
-            (
-                "loader_threads".into(),
-                icache_obs::Json::UInt(threads as u64),
-            ),
-            ("policies".into(), icache_obs::Json::Obj(policy_summaries)),
-        ]);
-        std::fs::write(path, format!("{summary}\n")).map_err(|e| format!("--json {path}: {e}"))?;
-        println!("wrote replay summary to {path}");
-    }
-    Ok(())
-}
-
-fn run() -> Result<(), String> {
-    let args = parse_args()?;
-    let get = |k: &str, d: &str| args.get(k).cloned().unwrap_or_else(|| d.to_string());
-    let universe: u64 = get("universe", "20000")
-        .parse()
-        .map_err(|e| format!("--universe: {e}"))?;
-    let requests: usize = get("requests", "50000")
-        .parse()
-        .map_err(|e| format!("--requests: {e}"))?;
-    let cache_frac: f64 = get("cache-frac", "0.1")
-        .parse()
-        .map_err(|e| format!("--cache-frac: {e}"))?;
-    let seed: u64 = get("seed", "7")
-        .parse()
-        .map_err(|e| format!("--seed: {e}"))?;
-    let storage_kind = match get("storage", "orangefs").as_str() {
+fn run(args: &Args) -> Result<(), String> {
+    let get = |k: &str, d: &'static str| args.get(k).unwrap_or(d);
+    let universe: u64 = args.parsed("universe", 20_000)?;
+    let requests: usize = args.parsed("requests", 50_000)?;
+    let cache_frac: f64 = args.parsed("cache-frac", 0.1)?;
+    let seed: u64 = args.parsed("seed", 7)?;
+    let storage_kind = match get("storage", "orangefs") {
         "orangefs" => StorageKind::OrangeFs,
         "nfs" => StorageKind::Nfs,
         "tmpfs" => StorageKind::Tmpfs,
@@ -333,26 +297,23 @@ fn run() -> Result<(), String> {
         Some(v) => sweep::parse_workers(v)?,
         None => 1,
     };
-    let loader_threads: usize = get("loader-threads", "1")
-        .parse()
-        .map_err(|e| format!("--loader-threads: {e}"))?;
+    let loader_threads: usize = args.parsed("loader-threads", 1)?;
     if loader_threads == 0 {
         return Err("--loader-threads: need at least one loader thread".into());
     }
-    let prefetch_depth: usize = get("prefetch-depth", "0")
-        .parse()
-        .map_err(|e| format!("--prefetch-depth: {e}"))?;
-    if args.contains_key("compute-us") && prefetch_depth == 0 {
+    let prefetch_depth: usize = args.parsed("prefetch-depth", 0)?;
+    if args.has("compute-us") && prefetch_depth == 0 {
         return Err(
             "--compute-us drives the prefetch overlap clock and requires --prefetch-depth >= 1"
                 .into(),
         );
     }
-    let compute = SimDuration::from_micros(
-        get("compute-us", "50")
-            .parse()
-            .map_err(|e| format!("--compute-us: {e}"))?,
-    );
+    // Without a prefetcher there is no compute to overlap with.
+    let compute = if prefetch_depth > 0 {
+        SimDuration::from_micros(args.parsed("compute-us", 50)?)
+    } else {
+        SimDuration::ZERO
+    };
     if prefetch_depth > 0 && loader_threads > 1 {
         return Err(
             "--prefetch-depth issues the trace's plan order ahead of a sequential consumer \
@@ -362,14 +323,14 @@ fn run() -> Result<(), String> {
         );
     }
     if loader_threads > 1 {
-        if args.contains_key("trace-out") {
+        if args.has("trace-out") {
             return Err(
                 "--trace-out records a per-event stream and requires --loader-threads 1 \
                  (the concurrent path publishes counters, not events)"
                     .into(),
             );
         }
-        if args.contains_key("parallel") {
+        if args.has("parallel") {
             return Err(
                 "--parallel replays policies on worker threads and cannot combine with \
                  --loader-threads; pick one axis of parallelism"
@@ -382,12 +343,10 @@ fn run() -> Result<(), String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("--trace {path}: {e}"))?;
         Trace::parse_jsonl(&text).map_err(|e| e.to_string())?
     } else {
-        let pattern = match get("pattern", "zipf").as_str() {
+        let pattern = match get("pattern", "zipf") {
             "uniform" => AccessPattern::Uniform,
             "zipf" => AccessPattern::Zipf {
-                s: get("skew", "1.1")
-                    .parse()
-                    .map_err(|e| format!("--skew: {e}"))?,
+                s: args.parsed("skew", 1.1)?,
             },
             "scan" => AccessPattern::Scan,
             "shuffle" => AccessPattern::EpochShuffle,
@@ -432,13 +391,11 @@ fn run() -> Result<(), String> {
         cache_frac,
         seed,
         storage_kind,
-        trace_out: args.get("trace-out").map(String::as_str),
+        trace_out: args.get("trace-out"),
         prefetch_depth,
         compute,
+        loader_threads,
     };
-    if loader_threads > 1 {
-        return run_concurrent(loader_threads, &ctx, args.get("json").map(String::as_str));
-    }
     let ctx_ref = &ctx;
     let tasks: Vec<_> = workload::POLICIES
         .iter()
@@ -446,12 +403,10 @@ fn run() -> Result<(), String> {
         .collect();
     let outputs = sweep::run_indexed(tasks, workers);
 
-    let mut policy_summaries: Vec<(String, icache_obs::Json)> = Vec::new();
-    let mut out = if prefetch_depth > 0 {
-        report::Table::with_columns(&["policy", "hit%", "p50", "p99", "elapsed", "stall"])
-    } else {
-        report::Table::with_columns(&["policy", "hit%", "p50", "p99", "elapsed"])
-    };
+    let mut policy_summaries: Vec<(String, Json)> = Vec::new();
+    let mut columns = vec!["policy", "hit%", "p50", "p99", "elapsed"];
+    columns.extend(extra_column(&ctx));
+    let mut out = report::Table::with_columns(&columns);
     for result in outputs {
         let po = result?;
         out.row(po.row);
@@ -464,13 +419,12 @@ fn run() -> Result<(), String> {
     println!();
     println!("{}", out.render());
     if let Some(path) = args.get("json") {
-        let summary = icache_obs::Json::Obj(vec![
-            (
-                "accesses".into(),
-                icache_obs::Json::UInt(trace.len() as u64),
-            ),
-            ("policies".into(), icache_obs::Json::Obj(policy_summaries)),
-        ]);
+        let mut summary = vec![("accesses".to_string(), Json::UInt(trace.len() as u64))];
+        if loader_threads > 1 {
+            summary.push(("loader_threads".into(), Json::UInt(loader_threads as u64)));
+        }
+        summary.push(("policies".into(), Json::Obj(policy_summaries)));
+        let summary = Json::Obj(summary);
         std::fs::write(path, format!("{summary}\n")).map_err(|e| format!("--json {path}: {e}"))?;
         println!("wrote replay summary to {path}");
     }
@@ -478,11 +432,5 @@ fn run() -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    match run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            ExitCode::FAILURE
-        }
-    }
+    SPEC.main(run)
 }

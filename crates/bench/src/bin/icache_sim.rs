@@ -6,40 +6,11 @@
 //!     --scale 0.1 --epochs 5 --cache 0.2 --storage orangefs
 //! ```
 //!
-//! Flags (all optional):
-//!
-//! | flag | default | values |
-//! |---|---|---|
-//! | `--system` | `icache` | default, base, iis-lru, quiver, coordl, ilfu, icache-nol, icache, icache-nosub, icache-subh, oracle |
-//! | `--model` | `shufflenet` | any of the paper's eight model names |
-//! | `--dataset` | `cifar10` | cifar10, imagenet |
-//! | `--storage` | `orangefs` | orangefs, nfs, tmpfs, ssd |
-//! | `--criterion` | `loss` | loss, gradnorm, staleness |
-//! | `--scale` | `0.1` | dataset fraction in (0, 1] |
-//! | `--cache` | `0.2` | cache fraction of the dataset |
-//! | `--epochs` | `5` | epochs to run |
-//! | `--batch` | `256` | mini-batch size |
-//! | `--workers` | `6` | data-loader workers |
-//! | `--gpus` | `1` | data-parallel GPUs |
-//! | `--prefetch-depth` | `0` | clairvoyant prefetch lookahead depth (DESIGN.md §11); `0` disables the pipeline and is byte-identical to the pre-prefetch driver |
-//! | `--nodes` | `1` | cluster nodes; `>= 2` runs the distributed iCache (one sharded job per node, requires `--system icache`) |
-//! | `--seed` | `0x5EED` | run seed |
-//! | `--json` | - | write the machine-readable run summary (per-epoch metrics + counters + latency histograms) to this JSON path |
-//! | `--trace` | - | write the structured event trace (one JSON object per line) to this JSONL path |
-//! | `--csv` | - | also write per-epoch metrics to this CSV path |
-//!
-//! Churn flags (all require `--nodes N` with N ≥ 2; any of them switches
-//! the run onto the full sharded [`icache_core::CacheService`] with the
-//! heartbeat failure detector and repartitioning directory enabled):
-//!
-//! | flag | default | meaning |
-//! |---|---|---|
-//! | `--kill-node` | - | `i@e`: crash node `i` midway through epoch `e` |
-//! | `--rejoin` | off | bring the killed node back at the start of epoch `e+1` |
-//! | `--cold` | off | rejoin with an empty cache instead of replaying the recovery index |
-//! | `--race` | off | race remote cache reads against a hedged local storage fetch |
-//! | `--net-latency` | - | per-link latency override in microseconds (control and data planes) |
-//! | `--recovery-dir` | - | write `node<i>.recovery` index files under this directory |
+//! `icache_sim --help` prints the flag table (every flag is optional).
+//! The churn flags (`--kill-node`, `--rejoin`, `--cold`, `--race`,
+//! `--net-latency`, `--recovery-dir`) all require `--nodes N` with
+//! N ≥ 2; any of them enables the [`icache_core::CacheService`]'s
+//! heartbeat failure detector and repartitioning directory.
 //!
 //! `--trace` and `--json` output is deterministic: the same configuration
 //! and seed produce byte-identical files.
@@ -52,44 +23,82 @@
 //! `membership_change` / `partition_update` / `warm_recovery` events in
 //! the JSON and trace outputs.
 
+use icache_bench::cli::{Args, Flag, Spec};
 use icache_dnn::ModelProfile;
 use icache_sampling::ImportanceCriterion;
 use icache_sim::{report, ChurnSpec, Scenario, StorageKind, SystemKind};
 use icache_types::{Epoch, SimDuration};
-use std::collections::HashMap;
 use std::process::ExitCode;
 
-/// Flags that take no value; their presence means "on".
-const BOOL_FLAGS: &[&str] = &["rejoin", "cold", "race"];
-
-fn parse_args() -> Result<HashMap<String, String>, String> {
-    let mut out = HashMap::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        let Some(key) = flag.strip_prefix("--") else {
-            return Err(format!(
-                "unexpected argument `{flag}` (flags start with --)"
-            ));
-        };
-        if key == "help" {
-            return Err("see the flag table in the module docs (src/bin/icache_sim.rs)".into());
-        }
-        if BOOL_FLAGS.contains(&key) {
-            out.insert(key.to_string(), "on".to_string());
-            continue;
-        }
-        let Some(value) = args.next() else {
-            return Err(format!("flag --{key} needs a value"));
-        };
-        out.insert(key.to_string(), value);
-    }
-    Ok(out)
-}
+const SPEC: Spec = Spec {
+    program: "icache_sim",
+    about: "run any single-job scenario from the command line",
+    flags: &[
+        Flag::required(
+            "system",
+            "default, base, iis-lru, quiver, coordl, ilfu, icache-nol, icache, \
+             icache-nosub, icache-subh or oracle (default icache)",
+        ),
+        Flag::required(
+            "model",
+            "any of the paper's eight model names (default shufflenet)",
+        ),
+        Flag::required("dataset", "cifar10 or imagenet (default cifar10)"),
+        Flag::required("storage", "orangefs, nfs, tmpfs or ssd (default orangefs)"),
+        Flag::required("criterion", "loss, gradnorm or staleness (default loss)"),
+        Flag::required("scale", "dataset fraction in (0, 1] (default 0.1)"),
+        Flag::required("cache", "cache fraction of the dataset (default 0.2)"),
+        Flag::required("epochs", "epochs to run (default 5)"),
+        Flag::required("batch", "mini-batch size (default 256)"),
+        Flag::required("workers", "data-loader workers (default 6)"),
+        Flag::required("gpus", "data-parallel GPUs (default 1)"),
+        Flag::required(
+            "prefetch-depth",
+            "clairvoyant prefetch lookahead, 0 = no pipeline (default 0)",
+        ),
+        Flag::required(
+            "nodes",
+            "cluster nodes; >= 2 runs one sharded job per node on the distributed \
+             iCache and requires --system icache (default 1)",
+        ),
+        Flag::required("seed", "run seed, decimal or 0x-hex (default 0x5EED)"),
+        Flag::required(
+            "json",
+            "write the run summary (epoch metrics, counters, histograms) to this path",
+        ),
+        Flag::required(
+            "trace",
+            "write the structured event trace (JSONL) to this path",
+        ),
+        Flag::required("csv", "also write per-epoch metrics to this CSV path"),
+        Flag::required("kill-node", "i@e: crash node i midway through epoch e"),
+        Flag::switch(
+            "rejoin",
+            "bring the killed node back at the start of epoch e+1",
+        ),
+        Flag::switch(
+            "cold",
+            "rejoin with an empty cache, not from the recovery index",
+        ),
+        Flag::switch(
+            "race",
+            "race remote cache reads against a hedged storage fetch",
+        ),
+        Flag::required(
+            "net-latency",
+            "per-link latency override in microseconds, both planes",
+        ),
+        Flag::required(
+            "recovery-dir",
+            "write node<i>.recovery index files under this directory",
+        ),
+    ],
+};
 
 /// The churn spec implied by the churn flag group, or `None` when no
-/// churn flag was given (plain runs keep the compatibility facade and
-/// its byte-identical output).
-fn churn_of(args: &HashMap<String, String>) -> Result<Option<ChurnSpec>, String> {
+/// churn flag was given (plain runs keep static membership and a quiet
+/// service plane, and with them their byte-identical output).
+fn churn_of(args: &Args) -> Result<Option<ChurnSpec>, String> {
     const CHURN_FLAGS: &[&str] = &[
         "kill-node",
         "rejoin",
@@ -98,7 +107,7 @@ fn churn_of(args: &HashMap<String, String>) -> Result<Option<ChurnSpec>, String>
         "net-latency",
         "recovery-dir",
     ];
-    if !CHURN_FLAGS.iter().any(|k| args.contains_key(*k)) {
+    if !CHURN_FLAGS.iter().any(|k| args.has(k)) {
         return Ok(None);
     }
     let mut spec = ChurnSpec::default();
@@ -114,17 +123,14 @@ fn churn_of(args: &HashMap<String, String>) -> Result<Option<ChurnSpec>, String>
             .map_err(|e| format!("--kill-node epoch: {e}"))?;
         spec.kill = Some((node, Epoch(epoch)));
     }
-    spec.rejoin = args.contains_key("rejoin");
-    spec.warm = !args.contains_key("cold");
-    spec.race = args.contains_key("race");
+    spec.rejoin = args.has("rejoin");
+    spec.warm = !args.has("cold");
+    spec.race = args.has("race");
     if spec.rejoin && spec.kill.is_none() {
         return Err("--rejoin needs --kill-node i@e (nothing to rejoin)".into());
     }
-    if let Some(raw) = args.get("net-latency") {
-        let micros = raw
-            .parse::<u64>()
-            .map_err(|e| format!("--net-latency: {e}"))?;
-        spec.net_latency = Some(SimDuration::from_micros(micros));
+    if args.has("net-latency") {
+        spec.net_latency = Some(SimDuration::from_micros(args.parsed("net-latency", 0)?));
     }
     if let Some(dir) = args.get("recovery-dir") {
         spec.recovery_dir = Some(std::path::PathBuf::from(dir));
@@ -168,19 +174,13 @@ fn criterion_of(name: &str) -> Result<ImportanceCriterion, String> {
     })
 }
 
-fn run() -> Result<(), String> {
-    let args = parse_args()?;
-    let get = |k: &str, d: &str| args.get(k).cloned().unwrap_or_else(|| d.to_string());
-    let parse_f64 = |k: &str, d: &str| get(k, d).parse::<f64>().map_err(|e| format!("--{k}: {e}"));
-    let parse_usize = |k: &str, d: &str| {
-        get(k, d)
-            .parse::<usize>()
-            .map_err(|e| format!("--{k}: {e}"))
-    };
+fn run(args: &Args) -> Result<(), String> {
+    let get = |k: &str, d: &'static str| args.get(k).unwrap_or(d);
 
-    let system = system_of(&get("system", "icache"))?;
-    let model = ModelProfile::by_name(&get("model", "shufflenet")).map_err(|e| e.to_string())?;
-    let base = match get("dataset", "cifar10").as_str() {
+    let system = system_of(get("system", "icache"))?;
+    let model_name = get("model", "shufflenet");
+    let model = ModelProfile::by_name(model_name).map_err(|e| e.to_string())?;
+    let base = match get("dataset", "cifar10") {
         "cifar10" => Scenario::cifar10(system),
         "imagenet" => Scenario::imagenet(system),
         other => return Err(format!("unknown dataset `{other}`")),
@@ -193,22 +193,22 @@ fn run() -> Result<(), String> {
         }
     };
 
+    let prefetch_depth: usize = args.parsed("prefetch-depth", 0)?;
     let scenario = base
         .model(model)
-        .storage(storage_of(&get("storage", "orangefs"))?)
-        .criterion(criterion_of(&get("criterion", "loss"))?)
-        .scale_dataset(parse_f64("scale", "0.1")?)
+        .storage(storage_of(get("storage", "orangefs"))?)
+        .criterion(criterion_of(get("criterion", "loss"))?)
+        .scale_dataset(args.parsed("scale", 0.1)?)
         .map_err(|e| e.to_string())?
-        .cache_fraction(parse_f64("cache", "0.2")?)
-        .epochs(parse_usize("epochs", "5")? as u32)
-        .batch_size(parse_usize("batch", "256")?)
-        .workers(parse_usize("workers", "6")?)
-        .gpus(parse_usize("gpus", "1")?)
-        .prefetch_depth(parse_usize("prefetch-depth", "0")?)
+        .cache_fraction(args.parsed("cache", 0.2)?)
+        .epochs(args.parsed::<usize>("epochs", 5)? as u32)
+        .batch_size(args.parsed("batch", 256)?)
+        .workers(args.parsed("workers", 6)?)
+        .gpus(args.parsed("gpus", 1)?)
+        .prefetch_depth(prefetch_depth)
         .seed(seed);
-    let prefetch_depth = parse_usize("prefetch-depth", "0")?;
-    let nodes = parse_usize("nodes", "1")?;
-    let churn = churn_of(&args)?;
+    let nodes: usize = args.parsed("nodes", 1)?;
+    let churn = churn_of(args)?;
     if churn.is_some() && nodes < 2 {
         return Err("churn flags (--kill-node/--rejoin/--cold/--race/--net-latency/--recovery-dir) need --nodes N with N >= 2".into());
     }
@@ -225,7 +225,7 @@ fn run() -> Result<(), String> {
     println!(
         "running {} ({}) on {}{} ...\n",
         system.label(),
-        get("model", "shufflenet"),
+        model_name,
         scenario.dataset_ref(),
         if nodes >= 2 {
             format!(" across {nodes} nodes")
@@ -343,12 +343,5 @@ fn run() -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    match run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            eprintln!("run with no flags for defaults; see the module docs for the flag table");
-            ExitCode::FAILURE
-        }
-    }
+    SPEC.main(run)
 }

@@ -1,6 +1,6 @@
-//! CLI coverage of the sharded-service redesign: the plain `--nodes N`
-//! path is pinned byte-for-byte to the pre-redesign golden summary, and
-//! the churn flag group (`--kill-node`, `--rejoin`, `--cold`, ...)
+//! `icache_sim` from the command line: the plain `--nodes N` path is
+//! pinned byte-for-byte to its golden summary, unknown flags are
+//! rejected, and the churn flag group (`--kill-node`, `--rejoin`, `--cold`, ...)
 //! drives a kill/rejoin run whose trace records the repartition and
 //! recovery.
 //!
@@ -140,4 +140,26 @@ fn churn_flags_are_validated() {
     let out = sim(&["--nodes", "2", "--kill-node", "nope"]);
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("node@epoch"));
+}
+
+#[test]
+fn unknown_flags_are_rejected_and_help_runs_nothing() {
+    let out = sim(&["--sytem", "icache"]);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.starts_with("error: unknown flag --sytem (nearest known flag: --system)")
+            && stderr.lines().count() == 1,
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty(), "nothing may run on a bad flag");
+
+    let out = sim(&["--help"]);
+    assert_eq!(out.status.code(), Some(0));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("--kill-node <value>"), "{stdout}");
+    assert!(
+        !stdout.contains("epoch  wall"),
+        "--help simulated:\n{stdout}"
+    );
 }

@@ -20,8 +20,7 @@ fn tmp(name: &str) -> PathBuf {
 fn run_sim(extra: &[&str], trace: &PathBuf, json: &PathBuf) {
     let out = Command::new(env!("CARGO_BIN_EXE_icache_sim"))
         .args([
-            "--system", "icache", "--scale", "0.02", "--epochs", "2", "--batch", "64", "--seed",
-            "7",
+            "--system", "icache", "--scale", "0.02", "--batch", "64", "--seed", "7",
         ])
         .args(extra)
         .arg("--trace")
@@ -51,8 +50,8 @@ fn event_of(line: &str) -> String {
 fn trace_and_summary_files_are_nonempty_and_deterministic() {
     let (trace_a, json_a) = (tmp("golden-a.jsonl"), tmp("golden-a.json"));
     let (trace_b, json_b) = (tmp("golden-b.jsonl"), tmp("golden-b.json"));
-    run_sim(&[], &trace_a, &json_a);
-    run_sim(&[], &trace_b, &json_b);
+    run_sim(&["--epochs", "2"], &trace_a, &json_a);
+    run_sim(&["--epochs", "2"], &trace_b, &json_b);
 
     let ta = std::fs::read_to_string(&trace_a).expect("trace file written");
     let tb = std::fs::read_to_string(&trace_b).expect("trace file written");

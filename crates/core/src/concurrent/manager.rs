@@ -2,7 +2,10 @@
 
 use super::{lock_counted, stripe_count, AtomicCacheStats, FreshPool, ShardedHeap, StripedMap};
 use crate::dense::{IdSet, IdSlab};
-use crate::{CacheStats, CacheSystem, Fetch, FetchOutcome, IcacheConfig, Packager, Substitution};
+use crate::{
+    CacheStats, CacheSystem, Fetch, FetchOutcome, IcacheConfig, MultiJobCoordinator, Packager,
+    Substitution,
+};
 use icache_obs::Obs;
 use icache_sampling::HList;
 use icache_storage::StorageBackend;
@@ -235,8 +238,6 @@ impl ConcurrentManager {
     /// the concurrent path does not serve: `multi_job`, `pm_tier`,
     /// `hlist_filter`, and `ST_HC` substitution.
     pub fn new(config: IcacheConfig, dataset: &Dataset, stripes: usize) -> Result<Self> {
-        // Reuse the sequential validation wholesale by building the
-        // region split the same way IcacheManager::new does.
         if config.multi_job {
             return Err(Error::invalid_config(
                 "multi_job",
@@ -261,11 +262,15 @@ impl ConcurrentManager {
                 "ST_HC is not served by ConcurrentManager; use the sequential IcacheManager",
             ));
         }
-        // Region split identical to the sequential manager.
-        let seq = crate::IcacheManager::new(config.clone(), dataset)?;
-        let h_capacity = seq.h_capacity();
-        let l_capacity = seq.l_capacity();
-        drop(seq);
+        config.validate()?;
+        // `multi_job` is refused above, but its knobs are still checked
+        // the way the sequential manager checks them.
+        MultiJobCoordinator::new(
+            dataset.len(),
+            config.benefit_threshold,
+            config.probe_samples,
+        )?;
+        let (h_capacity, l_capacity) = config.initial_regions();
         let n = stripe_count(stripes);
         Ok(ConcurrentManager {
             stripes: n,
@@ -691,15 +696,10 @@ impl ConcurrentCache for ConcurrentManager {
         let l_acc = self.epoch_l_accesses.swap(0, Ordering::Relaxed);
         let total = h_acc + l_acc;
         if total > 0 && self.config.enable_lcache && self.have_hlist.load(Ordering::Relaxed) {
-            // Frequency-driven region re-balancing (§III-A), identical
-            // arithmetic to the sequential manager.
-            let h_frac = h_acc as f64 / total as f64;
-            let min_l = self.config.package_size.min(self.config.capacity / 2);
+            // Frequency-driven region re-balancing (§III-A).
             let h_cap = self
                 .config
-                .capacity
-                .scaled(h_frac)
-                .min(self.config.capacity.saturating_sub(min_l));
+                .rebalanced_h_capacity(h_acc as f64 / total as f64);
             self.h_capacity.store(h_cap.as_u64(), Ordering::Relaxed);
             {
                 // Shrink H to fit: evict global minima (barrier is

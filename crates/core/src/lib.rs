@@ -23,10 +23,11 @@
 //!   exchanging [`service::CacheRpc`] messages over a simulated
 //!   interconnect, with heartbeat membership, rendezvous-hashed
 //!   directory shards ([`DirectoryKv`]), repartitioning on churn, and
-//!   warm restarts from per-node recovery indexes. [`DistributedCache`]
-//!   remains as the static-membership facade.
-//! * [`IcacheClient`] — the client module mirroring the paper's
-//!   `iCacheImageFolder` / `rpc_loader` / `update_ipersample` interfaces.
+//!   warm restarts from per-node recovery indexes. The paper's client
+//!   interfaces map onto it directly: `rpc_loader` is
+//!   [`CacheSystem::fetch`] (on the wire, [`service::CacheRpc`]'s
+//!   `FetchLocal`) and `update_ipersample` is
+//!   [`CacheSystem::update_hlist`].
 //! * [`concurrent`] — the lock-striped in-node cache
 //!   ([`ConcurrentManager`]): one node serving many data-loader threads
 //!   concurrently via striped resident maps, a sharded H-heap with a
@@ -71,42 +72,37 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod client;
 pub mod concurrent;
 mod data;
 pub mod dense;
-mod distributed;
 mod hcache;
 mod hheap;
 mod lcache;
 mod manager;
 mod multijob;
 pub mod prefetch;
-mod server;
 pub mod service;
 mod shadow;
 mod stats;
 mod system;
 mod victim;
 
-pub use client::IcacheClient;
 pub use concurrent::{
     AtomicCacheStats, ConcurrentCache, ConcurrentManager, FreshPool, MutexCache, ShardedHeap,
     StripedMap,
 };
 pub use data::SampleData;
 pub use dense::{IdSet, IdSlab};
-pub use distributed::{DirectoryView, DistributedCache, DistributedConfig, RemoteFetchKind};
 pub use hcache::{AdmitResult, HCache};
 pub use hheap::HHeap;
 pub use lcache::{LCache, LCacheConfig, LFetch, Package, PackageId, Packager};
 pub use manager::{IcacheConfig, IcacheManager, Substitution};
 pub use multijob::{BenefitProbe, JobBenefit, MultiJobCoordinator, ProbePhase};
 pub use prefetch::{InflightWindow, IssueRecord, PlannedAccess, PrefetchPipeline, PrefetchReport};
-pub use server::{IcacheServer, Request, Response};
 pub use service::{
     CacheRpc, CacheRpcReply, CacheService, ChurnEvent, DirectoryChange, DirectoryKv,
-    HeartbeatConfig, LinkConfig, NodeHandle, RecoveryIndex, RecoveryMode, ServiceConfig,
+    HeartbeatConfig, LinkConfig, NodeHandle, RecoveryIndex, RecoveryMode, RemoteFetchKind,
+    ServiceConfig,
 };
 pub use shadow::ShadowedHeap;
 pub use stats::CacheStats;

@@ -101,7 +101,34 @@ impl IcacheConfig {
         })
     }
 
-    fn validate(&self) -> Result<()> {
+    /// L-region floor: one package, but never more than half the cache
+    /// (tiny caches would otherwise leave the H-region empty).
+    fn min_l_capacity(&self) -> ByteSize {
+        self.package_size.min(self.capacity / 2)
+    }
+
+    /// The `(H, L)` region capacities a fresh cache starts with.
+    pub(crate) fn initial_regions(&self) -> (ByteSize, ByteSize) {
+        let l_capacity = if self.enable_lcache {
+            self.capacity
+                .saturating_sub(self.capacity.scaled(self.initial_h_fraction))
+                .max(self.min_l_capacity())
+        } else {
+            ByteSize::ZERO
+        };
+        (self.capacity.saturating_sub(l_capacity), l_capacity)
+    }
+
+    /// The epoch-end H-region target for an epoch in which `h_frac` of
+    /// the classified accesses went to H-samples (§III-A:
+    /// `Size_hcache = Size_cache · f_H / (f_H + f_L)`, L keeping its floor).
+    pub(crate) fn rebalanced_h_capacity(&self, h_frac: f64) -> ByteSize {
+        self.capacity
+            .scaled(h_frac)
+            .min(self.capacity.saturating_sub(self.min_l_capacity()))
+    }
+
+    pub(crate) fn validate(&self) -> Result<()> {
         if self.capacity.is_zero() {
             return Err(Error::invalid_config("capacity", "must be non-zero"));
         }
@@ -182,18 +209,7 @@ impl IcacheManager {
     /// or bandwidths.
     pub fn new(config: IcacheConfig, dataset: &Dataset) -> Result<Self> {
         config.validate()?;
-        // L-cache floor: one package, but never more than half the cache
-        // (tiny caches would otherwise leave the H-region empty).
-        let min_l = config.package_size.min(config.capacity / 2);
-        let l_capacity = if config.enable_lcache {
-            config
-                .capacity
-                .saturating_sub(config.capacity.scaled(config.initial_h_fraction))
-                .max(min_l)
-        } else {
-            ByteSize::ZERO
-        };
-        let h_capacity = config.capacity.saturating_sub(l_capacity);
+        let (h_capacity, l_capacity) = config.initial_regions();
         let coordinator = MultiJobCoordinator::new(
             dataset.len(),
             config.benefit_threshold,
@@ -817,13 +833,9 @@ impl CacheSystem for IcacheManager {
         // H-list.
         let total = self.h_accesses + self.l_accesses;
         if total > 0 && self.config.enable_lcache && self.coordinator.any_hlist() {
-            let h_frac = self.h_accesses as f64 / total as f64;
-            let min_l = self.config.package_size.min(self.config.capacity / 2);
             let h_cap = self
                 .config
-                .capacity
-                .scaled(h_frac)
-                .min(self.config.capacity.saturating_sub(min_l));
+                .rebalanced_h_capacity(self.h_accesses as f64 / total as f64);
             let evicted = self.hcache.resize(h_cap);
             self.stats.evictions += evicted.len() as u64;
             self.note_evictions(&evicted);

@@ -8,18 +8,12 @@
 //! the `SimTime` values the training loop passes in — the service holds
 //! a high-water clock (`max` of every fetch time seen) to drive
 //! heartbeats and suspicion deterministically.
-//!
-//! [`crate::DistributedCache`] wraps this type as a thin compatibility
-//! facade; churn experiments drive it directly.
 
 use crate::service::{
     CacheRpc, CacheRpcReply, DirectoryOp, HeartbeatConfig, LinkConfig, Membership, NodeHandle,
     Partitioner, RecoveryIndex, RecoveryMode, RecoveryStore, ServiceNode, SimNet,
 };
-use crate::{
-    CacheStats, CacheSystem, DistributedConfig, Fetch, FetchOutcome, IcacheConfig, IcacheManager,
-    RemoteFetchKind,
-};
+use crate::{CacheStats, CacheSystem, Fetch, FetchOutcome, IcacheConfig, IcacheManager};
 use icache_obs::{Obs, Observable, TraceEvent};
 use icache_sampling::HList;
 use icache_storage::StorageBackend;
@@ -28,6 +22,17 @@ use icache_types::{
     SimTime,
 };
 use std::collections::BTreeMap;
+
+/// Where a cluster fetch was served from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RemoteFetchKind {
+    /// The requesting node's own cache.
+    Local,
+    /// A peer node's cache over the interconnect.
+    RemoteCache,
+    /// The shared backing store.
+    Storage,
+}
 
 /// Configuration of the sharded cache service.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,17 +44,16 @@ pub struct ServiceConfig {
     pub node_config: IcacheConfig,
     /// Control-plane link profile (directory traffic, heartbeats).
     /// Metadata messages carry zero modelled bytes, so only the latency
-    /// matters; it defaults to zero, which reproduces the direct-call
-    /// cluster's timing exactly.
+    /// matters; it defaults to zero.
     pub control: LinkConfig,
-    /// Data-plane link profile (peer cache reads): the old
-    /// `remote_hop` / `interconnect_bandwidth` pair.
+    /// Data-plane link profile (peer cache reads): one-way hop latency
+    /// and interconnect bandwidth.
     pub data: LinkConfig,
     /// Serialize per-link transfers (FIFO queuing behind earlier
     /// messages) instead of modelling links as uncontended.
     pub serialize_links: bool,
     /// Failure-detector timing; `None` freezes membership (no
-    /// heartbeats, no suspicion — the compatibility default).
+    /// heartbeats, no suspicion — the default).
     pub heartbeat: Option<HeartbeatConfig>,
     /// Race remote reads against a hedged local storage fetch, first
     /// responder winning by sim-time (ties go to the peer).
@@ -66,45 +70,36 @@ pub struct ServiceConfig {
     /// full epoch stale.
     pub index_interval: Option<SimDuration>,
     /// Keep service-plane metrics (`svc.*`) and events out of the
-    /// shared registry. The compatibility facade sets this so pre- and
-    /// post-redesign `--nodes N` runs serialize byte-identically; churn
-    /// runs leave it off.
+    /// shared registry. Plain `--nodes N` runs set this (their golden
+    /// summary predates the service plane); churn runs leave it off.
     pub quiet_service_plane: bool,
 }
 
 impl ServiceConfig {
     /// Service defaults for a cluster of `nodes` nodes, each caching
-    /// `per_node_fraction` of `dataset`: static membership, no racing,
-    /// recovery disabled.
+    /// `per_node_fraction` of `dataset` (the paper's distributed setup
+    /// gives each node 20 %): static membership, zero-latency control
+    /// plane, no racing, recovery disabled.
     ///
     /// # Errors
     ///
     /// Returns [`Error::InvalidConfig`] when `nodes` is zero or the
     /// per-node config is invalid.
     pub fn for_dataset(dataset: &Dataset, nodes: usize, per_node_fraction: f64) -> Result<Self> {
-        Ok(
-            ServiceConfig::from_distributed(&DistributedConfig::for_dataset(
-                dataset,
-                nodes,
-                per_node_fraction,
-            )?)
-            .exposed(),
-        )
-    }
-
-    /// The exact semantics of a [`DistributedConfig`]: zero-latency
-    /// control plane, static membership, quiet service plane.
-    pub fn from_distributed(config: &DistributedConfig) -> Self {
-        ServiceConfig {
-            nodes: config.nodes,
-            node_config: config.node_config.clone(),
+        if nodes == 0 {
+            return Err(Error::invalid_config("nodes", "must be at least 1"));
+        }
+        let interconnect_bandwidth = 1.25e9;
+        Ok(ServiceConfig {
+            nodes,
+            node_config: IcacheConfig::for_dataset(dataset, per_node_fraction)?,
             control: LinkConfig {
                 latency: SimDuration::ZERO,
-                bandwidth: config.interconnect_bandwidth,
+                bandwidth: interconnect_bandwidth,
             },
             data: LinkConfig {
-                latency: config.remote_hop,
-                bandwidth: config.interconnect_bandwidth,
+                latency: SimDuration::from_micros(80),
+                bandwidth: interconnect_bandwidth,
             },
             serialize_links: false,
             heartbeat: None,
@@ -112,13 +107,15 @@ impl ServiceConfig {
             recovery: RecoveryMode::Disabled,
             recovery_bandwidth: 2e9,
             index_interval: None,
-            quiet_service_plane: true,
-        }
+            quiet_service_plane: false,
+        })
     }
 
-    /// Expose service-plane metrics in the shared registry.
-    pub fn exposed(mut self) -> Self {
-        self.quiet_service_plane = false;
+    /// Keep service-plane metrics out of the shared registry: what a
+    /// plain `--nodes N` run uses, so its summary carries only the
+    /// `dist.*` and `cache.*` names.
+    pub fn quiet(mut self) -> Self {
+        self.quiet_service_plane = true;
         self
     }
 
@@ -449,8 +446,7 @@ impl CacheService {
     }
 
     /// Classify where a fetch for `job`/`id` would be served from,
-    /// without performing it (counted directory read, like the old
-    /// direct-call cluster).
+    /// without performing it (a counted directory read).
     pub fn classify(&self, job: JobId, id: SampleId) -> RemoteFetchKind {
         let local = self.node_of(job);
         if self.nodes[local].is_up() && self.nodes[local].contains_cached(id) {
@@ -833,7 +829,7 @@ impl Observable for CacheService {
         obs.set_gauge("dist.nodes", self.nodes.len() as f64);
         self.obs = obs.clone();
         // The service plane (net, membership, recovery, churn) records
-        // separately so the compatibility facade can keep it out of
+        // separately so a quiet configuration can keep it out of
         // golden snapshots.
         let svc = if self.config.quiet_service_plane {
             Obs::noop()
@@ -848,7 +844,7 @@ impl Observable for CacheService {
 
 impl CacheSystem for CacheService {
     fn name(&self) -> &str {
-        "icache-service"
+        "icache-distributed"
     }
 
     fn fetch(
@@ -1006,4 +1002,154 @@ fn absorb(total: &mut CacheStats, s: &CacheStats) {
     total.rejections += s.rejections;
     total.bytes_from_cache += s.bytes_from_cache;
     total.bytes_from_storage += s.bytes_from_storage;
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use icache_sampling::ImportanceTable;
+    use icache_storage::{Nfs, NfsConfig};
+    use icache_types::{DatasetBuilder, SizeModel};
+
+    fn dataset() -> Dataset {
+        DatasetBuilder::new("d", 1_000)
+            .size_model(SizeModel::Fixed(ByteSize::kib(3)))
+            .build()
+            .unwrap()
+    }
+
+    fn cluster(ds: &Dataset, nodes: usize) -> CacheService {
+        let config = ServiceConfig::for_dataset(ds, nodes, 0.2).unwrap().quiet();
+        CacheService::new(config, ds).unwrap()
+    }
+
+    fn hlist(ds: &Dataset) -> HList {
+        let mut t = ImportanceTable::new(ds.len());
+        for i in 0..200 {
+            t.record_loss(SampleId(i), 10.0);
+        }
+        HList::top_fraction(&t, 0.2)
+    }
+
+    #[test]
+    fn peer_cache_serves_without_duplication() {
+        let ds = dataset();
+        let mut dc = cluster(&ds, 2);
+        let mut st = Nfs::new(NfsConfig::cloud_default()).unwrap();
+        dc.update_hlist(JobId(0), &hlist(&ds));
+        dc.update_hlist(JobId(1), &hlist(&ds));
+
+        // Job 0 (node 0) faults sample 5 in from storage.
+        let sz = ds.sample_size(SampleId(5));
+        let f0 = dc.fetch(JobId(0), SampleId(5), sz, SimTime::ZERO, &mut st);
+        assert_eq!(f0.outcome, FetchOutcome::Miss);
+        assert_eq!(dc.directory_lookup(SampleId(5)), Some(NodeId(0)));
+
+        // Job 1 (node 1) now reads it from node 0, not storage.
+        assert_eq!(
+            dc.classify(JobId(1), SampleId(5)),
+            RemoteFetchKind::RemoteCache
+        );
+        let before = st.stats().sample_reads;
+        let f1 = dc.fetch(JobId(1), SampleId(5), sz, f0.ready_at, &mut st);
+        assert!(f1.outcome.served_from_cache());
+        assert_eq!(st.stats().sample_reads, before, "no storage read");
+        assert_eq!(dc.remote_hits(), 1);
+    }
+
+    #[test]
+    fn remote_read_is_slower_than_local_but_faster_than_storage() {
+        let ds = dataset();
+        let mut dc = cluster(&ds, 2);
+        let mut st = Nfs::new(NfsConfig::cloud_default()).unwrap();
+        dc.update_hlist(JobId(0), &hlist(&ds));
+        dc.update_hlist(JobId(1), &hlist(&ds));
+        let sz = ds.sample_size(SampleId(7));
+
+        let miss = dc.fetch(JobId(0), SampleId(7), sz, SimTime::ZERO, &mut st);
+        let t_storage = miss.ready_at.saturating_since(SimTime::ZERO);
+
+        let local = dc.fetch(JobId(0), SampleId(7), sz, miss.ready_at, &mut st);
+        let t_local = local.ready_at.saturating_since(miss.ready_at);
+
+        let remote = dc.fetch(JobId(1), SampleId(7), sz, local.ready_at, &mut st);
+        let t_remote = remote.ready_at.saturating_since(local.ready_at);
+
+        assert!(t_local < t_remote, "local {t_local} vs remote {t_remote}");
+        assert!(
+            t_remote < t_storage,
+            "remote {t_remote} vs storage {t_storage}"
+        );
+    }
+
+    #[test]
+    fn jobs_map_to_nodes_round_robin() {
+        let ds = dataset();
+        let dc = cluster(&ds, 4);
+        assert_eq!(dc.node_of(JobId(0)), 0);
+        assert_eq!(dc.node_of(JobId(5)), 1);
+        assert_eq!(dc.node_count(), 4);
+    }
+
+    #[test]
+    fn cluster_capacity_sums_nodes() {
+        let ds = dataset();
+        let dc = cluster(&ds, 4);
+        assert_eq!(dc.capacity(), ds.total_bytes().scaled(0.2) * 4);
+    }
+
+    #[test]
+    fn zero_nodes_rejected() {
+        let ds = dataset();
+        assert!(ServiceConfig::for_dataset(&ds, 0, 0.2).is_err());
+    }
+
+    #[test]
+    fn per_node_counters_classify_every_fetch() {
+        let ds = dataset();
+        let mut dc = cluster(&ds, 2);
+        let obs = Obs::new();
+        Observable::set_obs(&mut dc, obs.clone());
+        let mut st = Nfs::new(NfsConfig::cloud_default()).unwrap();
+        dc.update_hlist(JobId(0), &hlist(&ds));
+        dc.update_hlist(JobId(1), &hlist(&ds));
+        let sz = ds.sample_size(SampleId(5));
+
+        // Node 0 faults sample 5 in (storage), re-reads it (local hit),
+        // then node 1 reads it over the interconnect (remote hit).
+        let f0 = dc.fetch(JobId(0), SampleId(5), sz, SimTime::ZERO, &mut st);
+        let f1 = dc.fetch(JobId(0), SampleId(5), sz, f0.ready_at, &mut st);
+        let _ = dc.fetch(JobId(1), SampleId(5), sz, f1.ready_at, &mut st);
+
+        assert_eq!(obs.counter("dist.node0.storage_fetches"), 1);
+        assert_eq!(obs.counter("dist.node0.local_hits"), 1);
+        assert_eq!(obs.counter("dist.node1.remote_hits"), 1);
+        assert_eq!(obs.counter("dist.remote_hits"), dc.remote_hits());
+        assert_eq!(obs.gauge("dist.nodes"), Some(2.0));
+        let counts: std::collections::HashMap<String, u64> =
+            obs.trace_event_counts().into_iter().collect();
+        assert_eq!(counts.get("remote_hit"), Some(&1));
+
+        // A quiet configuration keeps the service plane silent: no
+        // svc.* counters leak into the shared registry.
+        assert_eq!(obs.counter("svc.net.sent"), 0);
+        assert_eq!(obs.counter("svc.heartbeats_sent"), 0);
+    }
+
+    #[test]
+    fn stats_aggregate_across_nodes_and_remote_hits() {
+        let ds = dataset();
+        let mut dc = cluster(&ds, 2);
+        let mut st = Nfs::new(NfsConfig::cloud_default()).unwrap();
+        dc.update_hlist(JobId(0), &hlist(&ds));
+        dc.update_hlist(JobId(1), &hlist(&ds));
+        let sz = ds.sample_size(SampleId(1));
+        let f = dc.fetch(JobId(0), SampleId(1), sz, SimTime::ZERO, &mut st);
+        let _ = dc.fetch(JobId(1), SampleId(1), sz, f.ready_at, &mut st);
+        let s = dc.stats();
+        assert_eq!(s.misses, 1);
+        assert_eq!(s.h_hits, 1, "remote hit counted");
+        dc.reset_stats();
+        assert_eq!(dc.stats().requests(), 0);
+    }
 }

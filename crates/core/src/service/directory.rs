@@ -209,31 +209,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn insert_classifies_fresh_remap_and_noop() {
-        let obs = Obs::new();
-        let mut dir = DirectoryKv::new().with_obs(obs.clone());
-        assert_eq!(
-            dir.insert(SampleId(1), NodeId(0)),
-            DirectoryChange::Inserted
-        );
-        assert_eq!(
-            dir.insert(SampleId(1), NodeId(0)),
-            DirectoryChange::Unchanged
-        );
-        assert_eq!(
-            dir.insert(SampleId(1), NodeId(3)),
-            DirectoryChange::Remapped { from: NodeId(0) }
-        );
-        assert_eq!(
-            DirectoryChange::Remapped { from: NodeId(3) }.previous(),
-            Some(NodeId(3))
-        );
-        assert_eq!(DirectoryChange::Inserted.previous(), None);
-        assert_eq!(obs.counter("dist.directory.inserts"), 1);
-        assert_eq!(obs.counter("dist.directory.remaps"), 1);
-    }
-
-    #[test]
     fn detach_copies_the_map_but_not_the_registry() {
         let obs = Obs::new();
         let mut dir = DirectoryKv::new().with_obs(obs.clone());
@@ -271,5 +246,65 @@ mod tests {
             got,
             vec![(SampleId(3), NodeId(1)), (SampleId(9), NodeId(0))]
         );
+    }
+
+    #[test]
+    fn directory_insert_overwrite_reports_remap_and_traces_it() {
+        let obs = Obs::new();
+        let mut dir = DirectoryKv::new().with_obs(obs.clone());
+
+        assert_eq!(
+            dir.insert(SampleId(9), NodeId(0)),
+            DirectoryChange::Inserted
+        );
+        assert_eq!(obs.counter("dist.directory.inserts"), 1);
+        assert_eq!(obs.counter("dist.directory.remaps"), 0);
+
+        // Re-inserting the same owner is idempotent for the counters.
+        assert_eq!(
+            dir.insert(SampleId(9), NodeId(0)),
+            DirectoryChange::Unchanged
+        );
+        assert_eq!(obs.counter("dist.directory.inserts"), 1);
+        assert_eq!(obs.counter("dist.directory.remaps"), 0);
+        assert_eq!(obs.trace_len(), 0);
+
+        // Overwriting with a different node reports the previous owner and
+        // emits a remap event (the silently-overwritten-mapping fix).
+        let change = dir.insert(SampleId(9), NodeId(2));
+        assert_eq!(change, DirectoryChange::Remapped { from: NodeId(0) });
+        assert_eq!(change.previous(), Some(NodeId(0)));
+        assert_eq!(DirectoryChange::Inserted.previous(), None);
+        assert_eq!(dir.lookup(SampleId(9)), Some(NodeId(2)));
+        assert_eq!(obs.counter("dist.directory.remaps"), 1);
+        let jsonl = obs.trace_jsonl();
+        let line = jsonl.lines().last().expect("remap event recorded");
+        let v = icache_obs::Json::parse(line).unwrap();
+        assert_eq!(v["event"].as_str(), Some("directory_remap"));
+        assert_eq!(v["sample"].as_u64(), Some(9));
+        assert_eq!(v["from_node"].as_u64(), Some(0));
+        assert_eq!(v["to_node"].as_u64(), Some(2));
+
+        assert_eq!(dir.len(), 1, "remap does not grow the directory");
+        assert_eq!(
+            dir.len() as u64,
+            obs.counter("dist.directory.inserts") - obs.counter("dist.directory.removes")
+        );
+    }
+
+    #[test]
+    fn directory_remove_missing_is_a_counted_noop() {
+        let obs = Obs::new();
+        let mut dir = DirectoryKv::new().with_obs(obs.clone());
+        assert_eq!(dir.remove(SampleId(1)), None);
+        assert_eq!(
+            obs.counter("dist.directory.removes"),
+            0,
+            "missing removes must not distort the len == inserts - removes invariant"
+        );
+        dir.insert(SampleId(1), NodeId(0));
+        assert_eq!(dir.remove(SampleId(1)), Some(NodeId(0)));
+        assert_eq!(obs.counter("dist.directory.removes"), 1);
+        assert!(dir.is_empty());
     }
 }

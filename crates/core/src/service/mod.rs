@@ -1,9 +1,7 @@
 //! The sharded cache service: iCache's multi-node mode as a
 //! message-passing system.
 //!
-//! This module replaces the old direct-call cluster (a `Vec` of
-//! managers mutated behind a shared directory) with an explicit
-//! service: nodes exchange [`CacheRpc`] messages over a simulated
+//! Nodes exchange [`CacheRpc`] messages over a simulated
 //! network ([`SimNet`]) with configurable per-link latency and
 //! bandwidth, membership is tracked by a heartbeat failure detector
 //! ([`Membership`]), and the sample→node directory is sharded across
@@ -27,10 +25,6 @@
 //! there are no wall clocks and no background threads, so every run is
 //! a pure function of (config, seed, schedule) — including kills,
 //! suspicion, repartitions, and recovery.
-//!
-//! [`crate::DistributedCache`] remains as a thin facade over
-//! [`CacheService`] with the exact observable behavior of the old
-//! direct-call cluster.
 
 pub mod cluster;
 pub mod directory;
@@ -40,7 +34,7 @@ pub mod node;
 pub mod recovery;
 pub mod rpc;
 
-pub use cluster::{CacheService, ChurnEvent, ServiceConfig};
+pub use cluster::{CacheService, ChurnEvent, RemoteFetchKind, ServiceConfig};
 pub use directory::{DirectoryChange, DirectoryKv};
 pub use membership::{HeartbeatConfig, Membership, Partitioner};
 pub use net::{Envelope, LinkConfig, SimNet};

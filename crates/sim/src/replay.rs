@@ -11,7 +11,8 @@
 //! * hand-built [`Trace`]s in tests.
 
 use icache_core::{
-    CacheStats, CacheSystem, ConcurrentCache, PlannedAccess, PrefetchPipeline, PrefetchReport,
+    CacheStats, CacheSystem, ConcurrentCache, Fetch, PlannedAccess, PrefetchPipeline,
+    PrefetchReport,
 };
 use icache_storage::StorageBackend;
 use icache_types::{
@@ -181,10 +182,15 @@ impl AccessPattern {
 pub struct ReplayReport {
     /// Cache counters accumulated over the replay.
     pub stats: CacheStats,
-    /// Per-access service latency distribution.
+    /// Per-access wait distribution: delivery minus request, which with
+    /// a prefetcher is the consumer's *stall*, not raw storage time.
     pub latency: LatencyHistogram,
-    /// Virtual time consumed by the replay.
+    /// Virtual time consumed by the replay, per-sample compute included.
     pub elapsed: SimDuration,
+    /// Total time consumers waited on data (summed over loader threads).
+    pub stall: SimDuration,
+    /// Prefetcher counters; all zero at depth 0 (no prefetcher runs).
+    pub prefetch: PrefetchReport,
 }
 
 impl ReplayReport {
@@ -194,35 +200,92 @@ impl ReplayReport {
     }
 }
 
-/// Replay `trace` through `cache` against `storage`, back to back (each
-/// access submits when the previous completes).
+/// One consumer's walk over `records`, in order, on its own virtual
+/// clock: ask `fetch` for each record, wait for the delivery, spend
+/// `compute`. Every replay — sequential or one loader thread of a
+/// concurrent one, demand or prefetched — is this loop.
+fn walk(
+    records: &[TraceRecord],
+    compute: SimDuration,
+    mut fetch: impl FnMut(usize, &TraceRecord, SimTime) -> Fetch,
+) -> (LatencyHistogram, SimDuration, SimTime) {
+    let mut now = SimTime::ZERO;
+    let mut latency = LatencyHistogram::new();
+    let mut stall = SimDuration::ZERO;
+    for (pos, r) in records.iter().enumerate() {
+        let f = fetch(pos, r, now);
+        let wait = f.ready_at.saturating_since(now);
+        latency.record(wait);
+        stall += wait;
+        now = f.ready_at + compute;
+    }
+    (latency, stall, now)
+}
+
+/// Replay `trace` through `cache` against `storage` from one consumer
+/// that spends `compute` per sample, with a clairvoyant prefetcher of
+/// lookahead `depth` issuing the known access order ahead of it
+/// (DESIGN.md §11) — so per-access cost is `max(compute, stall)`
+/// instead of `compute + fetch`.
+///
+/// `depth == 0` runs no prefetcher: every access is a demand fetch
+/// submitted when the previous one completes, and its full storage
+/// latency is a stall; with `compute` zero this is the classic
+/// back-to-back replay. The access *order* seen by the cache is
+/// identical at every depth (plan order), so time-agnostic policies
+/// count identically across depths; policies with time-paced machinery
+/// (e.g. iCache's background package loader) may shift because issue
+/// timestamps feed their pacing. `obs` receives the prefetcher's
+/// counters and events.
 pub fn replay(
     trace: &Trace,
     dataset: &Dataset,
     cache: &mut dyn CacheSystem,
     storage: &mut dyn StorageBackend,
+    depth: usize,
+    compute: SimDuration,
+    obs: icache_obs::Obs,
 ) -> ReplayReport {
-    let mut now = SimTime::ZERO;
-    let mut latency = LatencyHistogram::new();
     let start_stats = cache.stats();
-    for r in &trace.records {
-        let size = dataset.sample_size(r.sample);
-        // The sequential clock only moves forward, so the storage model
-        // may retire queue bookings from the virtual past.
-        storage.release_before(now);
-        let f = cache.fetch(r.job, r.sample, size, now, storage);
-        latency.record(f.ready_at.saturating_since(now));
-        now = f.ready_at;
-    }
+    let ((latency, stall, end), prefetch) = if depth == 0 {
+        let walked = walk(&trace.records, compute, |_, r, now| {
+            // The demand clock only moves forward, so the storage model
+            // may retire queue bookings from the virtual past. (Not so
+            // under the prefetcher, which issues out of order.)
+            storage.release_before(now);
+            let size = dataset.sample_size(r.sample);
+            cache.fetch(r.job, r.sample, size, now, storage)
+        });
+        (walked, PrefetchReport::default())
+    } else {
+        let plan: Vec<PlannedAccess> = trace
+            .records
+            .iter()
+            .map(|r| PlannedAccess {
+                job: r.job,
+                id: r.sample,
+                size: dataset.sample_size(r.sample),
+            })
+            .collect();
+        let mut pipe = PrefetchPipeline::new(depth, plan, SimTime::ZERO, obs)
+            .expect("the pipeline refuses only depth 0, handled above");
+        let walked = walk(&trace.records, compute, |pos, _, now| {
+            pipe.fetch(pos, now, cache, storage)
+        });
+        (walked, pipe.finish())
+    };
     ReplayReport {
         stats: cache.stats().delta_since(&start_stats),
         latency,
-        elapsed: now.saturating_since(SimTime::ZERO),
+        elapsed: end.saturating_since(SimTime::ZERO),
+        stall,
+        prefetch,
     }
 }
 
 /// Replay `trace` through a shared [`ConcurrentCache`] on `threads`
-/// loader threads.
+/// loader threads, each a demand-fetching, zero-compute consumer (the
+/// depth-0 case of [`replay`]).
 ///
 /// The trace is partitioned round-robin (record `i` goes to thread
 /// `i % threads`), mirroring how a DNN data loader splits one epoch's
@@ -233,10 +296,9 @@ pub fn replay(
 /// *slowest* thread's clock — the batch is ready when the last worker
 /// is — and the latency histogram is the merge of all threads'.
 ///
-/// With `threads == 1` this visits records in exactly the sequential
-/// [`replay`] order. With more threads the per-access results depend
-/// on the interleaving, so runs are reproducible only given the same
-/// thread schedule; counters still sum exactly (see
+/// With more than one thread the per-access results depend on the
+/// interleaving, so runs are reproducible only given the same thread
+/// schedule; counters still sum exactly (see
 /// `icache_core::AtomicCacheStats`).
 ///
 /// # Errors
@@ -268,26 +330,22 @@ where
         shards[i % threads].push(*r);
     }
     let make_storage = &make_storage;
-    let per_thread: Vec<Result<(LatencyHistogram, SimTime)>> = std::thread::scope(|s| {
+    type Walked = (LatencyHistogram, SimDuration, SimTime);
+    let per_thread: Vec<Result<Walked>> = std::thread::scope(|s| {
         let handles: Vec<_> = shards
             .iter()
             .enumerate()
             .map(|(t, records)| {
-                s.spawn(move || -> Result<(LatencyHistogram, SimTime)> {
+                s.spawn(move || -> Result<Walked> {
                     let mut storage = make_storage()?;
                     let mut rng = SeedSequence::new(seed).rng(&format!("loader{t}"));
-                    let mut now = SimTime::ZERO;
-                    let mut latency = LatencyHistogram::new();
-                    for r in records {
-                        let size = dataset.sample_size(r.sample);
+                    Ok(walk(records, SimDuration::ZERO, |_, r, now| {
                         // Thread-local storage + monotone thread-local
                         // clock: safe to retire the virtual past.
                         storage.release_before(now);
-                        let f = cache.fetch(r.job, r.sample, size, now, storage.as_mut(), &mut rng);
-                        latency.record(f.ready_at.saturating_since(now));
-                        now = f.ready_at;
-                    }
-                    Ok((latency, now))
+                        let size = dataset.sample_size(r.sample);
+                        cache.fetch(r.job, r.sample, size, now, storage.as_mut(), &mut rng)
+                    }))
                 })
             })
             .collect();
@@ -300,95 +358,20 @@ where
             .collect()
     });
     let mut latency = LatencyHistogram::new();
-    let mut elapsed = SimTime::ZERO;
+    let mut stall = SimDuration::ZERO;
+    let mut end = SimTime::ZERO;
     for r in per_thread {
-        let (hist, now) = r?;
+        let (hist, waited, now) = r?;
         latency.merge(&hist);
-        elapsed = elapsed.max(now);
+        stall += waited;
+        end = end.max(now);
     }
     Ok(ReplayReport {
         stats: cache.stats().delta_since(&start_stats),
         latency,
-        elapsed: elapsed.saturating_since(SimTime::ZERO),
-    })
-}
-
-/// The outcome of a pipelined (compute/IO-overlapped) replay.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PrefetchReplayReport {
-    /// The usual replay accounting. With prefetching the latency
-    /// histogram records per-access *stall* (delivery minus request),
-    /// not raw storage time, and `elapsed` includes per-sample compute.
-    pub report: ReplayReport,
-    /// Total time the consumer stalled waiting on data.
-    pub stall: SimDuration,
-    /// Prefetcher counters; all zero at depth 0 (no prefetcher runs).
-    pub prefetch: PrefetchReport,
-}
-
-/// Replay `trace` with a simulated compute/IO overlap clock: the
-/// consumer spends `compute` per sample, and a clairvoyant prefetcher
-/// of lookahead `depth` issues the known access order ahead of it
-/// (DESIGN.md §11), so per-access cost is `max(compute, stall)` instead
-/// of `compute + fetch`.
-///
-/// `depth == 0` disables the prefetcher: every access is a demand fetch
-/// whose full storage latency is a stall. The access *order* seen by
-/// the cache is identical at every depth (plan order), so time-agnostic
-/// policies count identically across depths; policies with time-paced
-/// machinery (e.g. iCache's background package loader) may shift
-/// because issue timestamps feed their pacing.
-pub fn replay_prefetch(
-    trace: &Trace,
-    dataset: &Dataset,
-    cache: &mut dyn CacheSystem,
-    storage: &mut dyn StorageBackend,
-    depth: usize,
-    compute: SimDuration,
-    obs: icache_obs::Obs,
-) -> Result<PrefetchReplayReport> {
-    let mut now = SimTime::ZERO;
-    let mut latency = LatencyHistogram::new();
-    let mut stall = SimDuration::ZERO;
-    let start_stats = cache.stats();
-    let prefetch = if depth == 0 {
-        for r in &trace.records {
-            let size = dataset.sample_size(r.sample);
-            let f = cache.fetch(r.job, r.sample, size, now, storage);
-            let wait = f.ready_at.saturating_since(now);
-            latency.record(wait);
-            stall += wait;
-            now = f.ready_at + compute;
-        }
-        PrefetchReport::default()
-    } else {
-        let plan: Vec<PlannedAccess> = trace
-            .records
-            .iter()
-            .map(|r| PlannedAccess {
-                job: r.job,
-                id: r.sample,
-                size: dataset.sample_size(r.sample),
-            })
-            .collect();
-        let mut pipe = PrefetchPipeline::new(depth, plan, SimTime::ZERO, obs)?;
-        for pos in 0..trace.records.len() {
-            let f = pipe.fetch(pos, now, cache, storage);
-            let wait = f.ready_at.saturating_since(now);
-            latency.record(wait);
-            stall += wait;
-            now = f.ready_at + compute;
-        }
-        pipe.finish()
-    };
-    Ok(PrefetchReplayReport {
-        report: ReplayReport {
-            stats: cache.stats().delta_since(&start_stats),
-            latency,
-            elapsed: now.saturating_since(SimTime::ZERO),
-        },
+        elapsed: end.saturating_since(SimTime::ZERO),
         stall,
-        prefetch,
+        prefetch: PrefetchReport::default(),
     })
 }
 
@@ -415,6 +398,28 @@ mod tests {
             .size_model(SizeModel::Fixed(ByteSize::kib(3)))
             .build()
             .unwrap()
+    }
+
+    /// The classic replay: demand fetches, no compute.
+    fn back_to_back(
+        trace: &Trace,
+        ds: &Dataset,
+        cache: &mut dyn CacheSystem,
+        storage: &mut dyn StorageBackend,
+    ) -> ReplayReport {
+        replay(
+            trace,
+            ds,
+            cache,
+            storage,
+            0,
+            SimDuration::ZERO,
+            icache_obs::Obs::noop(),
+        )
+    }
+
+    fn pfs() -> icache_storage::Pfs {
+        icache_storage::Pfs::new(icache_storage::PfsConfig::orangefs_default()).unwrap()
     }
 
     #[test]
@@ -446,14 +451,14 @@ mod tests {
             .unwrap();
         let mut lru = LruCache::new(cap);
         let mut st = LocalTier::tmpfs();
-        let z = replay(&zipf, &ds, &mut lru, &mut st);
+        let z = back_to_back(&zipf, &ds, &mut lru, &mut st);
 
         let scan = AccessPattern::Scan
             .generate(10_000, 30_000, JobId(0), 1)
             .unwrap();
         let mut lru = LruCache::new(cap);
         let mut st = LocalTier::tmpfs();
-        let s = replay(&scan, &ds, &mut lru, &mut st);
+        let s = back_to_back(&scan, &ds, &mut lru, &mut st);
 
         assert!(z.hit_ratio() > 0.5, "zipf hit ratio {}", z.hit_ratio());
         assert!(s.hit_ratio() < 0.01, "scan hit ratio {}", s.hit_ratio());
@@ -469,7 +474,7 @@ mod tests {
         let original = AccessPattern::Uniform
             .generate(100, 50, JobId(2), 3)
             .unwrap();
-        replay(&original, &ds, &mut traced, &mut st);
+        back_to_back(&original, &ds, &mut traced, &mut st);
         let parsed = Trace::parse_jsonl(&traced.to_jsonl()).unwrap();
         assert_eq!(parsed, original);
     }
@@ -493,83 +498,77 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_replay_one_thread_matches_sequential() {
+    fn one_loop_serves_every_thread_count_and_depth() {
         use icache_core::MutexCache;
-        let ds = dataset(500);
-        let cap = ds.total_bytes().scaled(0.2);
-        let t = AccessPattern::Zipf { s: 1.1 }
-            .generate(500, 2_000, JobId(0), 9)
-            .unwrap();
-
-        let mut lru = LruCache::new(cap);
-        let mut st = LocalTier::tmpfs();
-        let seq = replay(&t, &ds, &mut lru, &mut st);
-
-        let shared = MutexCache::new(Box::new(LruCache::new(cap)));
-        let conc =
-            replay_concurrent(&t, &ds, &shared, 1, 9, || Ok(Box::new(LocalTier::tmpfs()))).unwrap();
-        assert_eq!(seq.stats, conc.stats);
-        assert_eq!(seq.elapsed, conc.elapsed);
-        assert_eq!(
-            seq.latency.quantile(0.99),
-            conc.latency.quantile(0.99),
-            "one loader thread visits records in sequential order"
-        );
-    }
-
-    #[test]
-    fn concurrent_replay_counters_sum_across_threads() {
-        use icache_core::MutexCache;
-        let ds = dataset(500);
-        let t = AccessPattern::Uniform
-            .generate(500, 4_000, JobId(0), 5)
-            .unwrap();
-        let shared = MutexCache::new(Box::new(LruCache::new(ds.total_bytes().scaled(0.2))));
-        let rep =
-            replay_concurrent(&t, &ds, &shared, 4, 5, || Ok(Box::new(LocalTier::tmpfs()))).unwrap();
-        assert_eq!(
-            rep.stats.requests(),
-            4_000,
-            "per-thread fetches must add up exactly"
-        );
-        assert!(
-            replay_concurrent(&t, &ds, &shared, 0, 5, || Ok(Box::new(LocalTier::tmpfs()))).is_err()
-        );
-    }
-
-    #[test]
-    fn prefetch_depth_zero_matches_demand_access_stream() {
         let ds = dataset(2_000);
         let cap = ds.total_bytes().scaled(0.1);
         let t = AccessPattern::Zipf { s: 1.1 }
             .generate(2_000, 6_000, JobId(0), 3)
             .unwrap();
 
+        // The reference: a hand-written back-to-back fetch loop.
         let mut lru = LruCache::new(cap);
-        let mut st =
-            icache_storage::Pfs::new(icache_storage::PfsConfig::orangefs_default()).unwrap();
-        let seq = replay(&t, &ds, &mut lru, &mut st);
+        let mut st = pfs();
+        let mut now = SimTime::ZERO;
+        for r in t.records() {
+            now = lru
+                .fetch(r.job, r.sample, ds.sample_size(r.sample), now, &mut st)
+                .ready_at;
+        }
+        let (hand_stats, hand_elapsed) = (lru.stats(), now.saturating_since(SimTime::ZERO));
 
-        let mut lru = LruCache::new(cap);
-        let mut st =
-            icache_storage::Pfs::new(icache_storage::PfsConfig::orangefs_default()).unwrap();
-        let p0 = replay_prefetch(
-            &t,
-            &ds,
-            &mut lru,
-            &mut st,
-            0,
-            SimDuration::ZERO,
-            icache_obs::Obs::noop(),
-        )
-        .unwrap();
-        assert_eq!(seq.stats, p0.report.stats, "same access stream");
-        assert_eq!(seq.elapsed, p0.report.elapsed, "zero compute, depth 0");
-        assert_eq!(
-            p0.stall, p0.report.elapsed,
-            "with zero compute at depth 0 the whole replay is stall"
+        for (threads, depth) in [(1usize, 0usize), (1, 4), (2, 0), (4, 0)] {
+            let case = format!("threads {threads}, depth {depth}");
+            let rep = if threads == 1 {
+                let mut lru = LruCache::new(cap);
+                let mut st = pfs();
+                let obs = icache_obs::Obs::noop();
+                replay(&t, &ds, &mut lru, &mut st, depth, SimDuration::ZERO, obs)
+            } else {
+                let shared = MutexCache::new(Box::new(LruCache::new(cap)));
+                replay_concurrent(&t, &ds, &shared, threads, 3, || Ok(Box::new(pfs()))).unwrap()
+            };
+            assert_eq!(rep.stats.requests(), t.len() as u64, "{case}: conservation");
+            assert_eq!(rep.latency.count(), t.len() as u64, "{case}");
+            if depth > 0 {
+                assert_eq!(
+                    rep.prefetch.hits + rep.prefetch.late,
+                    t.len() as u64,
+                    "{case}: every consumed access is a prefetch hit or late"
+                );
+            } else {
+                assert_eq!(rep.prefetch, PrefetchReport::default(), "{case}");
+            }
+            if threads == 1 {
+                assert_eq!(rep.stats, hand_stats, "{case}: plan order at every depth");
+            }
+            if (threads, depth) == (1, 0) {
+                assert_eq!(rep.elapsed, hand_elapsed, "{case}");
+                assert_eq!(rep.stall, rep.elapsed, "{case}: zero compute is all stall");
+                // One loader thread is the same consumer.
+                let shared = MutexCache::new(Box::new(LruCache::new(cap)));
+                let one =
+                    replay_concurrent(&t, &ds, &shared, 1, 3, || Ok(Box::new(pfs()))).unwrap();
+                assert_eq!(one, rep, "{case}: one loader thread");
+            }
+        }
+    }
+
+    #[test]
+    fn concurrent_replay_rejects_zero_threads_and_maps_loader_panics() {
+        use icache_core::MutexCache;
+        let ds = dataset(500);
+        let t = AccessPattern::Uniform
+            .generate(500, 100, JobId(0), 5)
+            .unwrap();
+        let shared = MutexCache::new(Box::new(LruCache::new(ds.total_bytes().scaled(0.2))));
+        let zero = replay_concurrent(&t, &ds, &shared, 0, 5, || Ok(Box::new(LocalTier::tmpfs())));
+        assert!(matches!(zero, Err(Error::InvalidConfig { .. })), "{zero:?}");
+        let panicked = replay_concurrent(&t, &ds, &shared, 2, 5, || panic!("loader dies"));
+        assert!(
+            matches!(panicked, Err(Error::InvalidState(_))),
+            "{panicked:?}"
         );
-        assert_eq!(p0.prefetch, icache_core::PrefetchReport::default());
     }
 
     #[test]
@@ -584,18 +583,9 @@ mod tests {
         let mut stats = Vec::new();
         for depth in [0usize, 1, 4, 16] {
             let mut lru = LruCache::new(cap);
-            let mut st =
-                icache_storage::Pfs::new(icache_storage::PfsConfig::orangefs_default()).unwrap();
-            let rep = replay_prefetch(
-                &t,
-                &ds,
-                &mut lru,
-                &mut st,
-                depth,
-                compute,
-                icache_obs::Obs::noop(),
-            )
-            .unwrap();
+            let mut st = pfs();
+            let obs = icache_obs::Obs::noop();
+            let rep = replay(&t, &ds, &mut lru, &mut st, depth, compute, obs);
             if depth > 0 {
                 assert_eq!(
                     rep.prefetch.hits + rep.prefetch.late,
@@ -606,7 +596,7 @@ mod tests {
                 assert_eq!(rep.prefetch.cancelled, 0);
             }
             stalls.push(rep.stall);
-            stats.push(rep.report.stats);
+            stats.push(rep.stats);
         }
         for s in &stats[1..] {
             assert_eq!(&stats[0], s, "cache behavior identical across depths");
@@ -629,7 +619,7 @@ mod tests {
         let mut lru = LruCache::new(ByteSize::kib(64));
         let mut st = LocalTier::tmpfs();
         let t = AccessPattern::Scan.generate(100, 100, JobId(0), 1).unwrap();
-        let rep = replay(&t, &ds, &mut lru, &mut st);
+        let rep = back_to_back(&t, &ds, &mut lru, &mut st);
         let s = summarize(&rep);
         assert!(s.contains("hits"));
         assert!(s.contains("p99"));

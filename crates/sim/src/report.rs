@@ -174,7 +174,7 @@ pub fn run_summary(runs: &[crate::RunMetrics], obs: &icache_obs::Obs) -> icache_
 
 /// [`run_summary`] for a distributed run: appends a `"nodes"` array with
 /// the per-node hit/miss classification counters recorded by the
-/// [`icache_core::DistributedCache`], one object per rank.
+/// [`icache_core::CacheService`], one object per rank.
 ///
 /// Every fetch lands in exactly one of the three buckets, so across the
 /// array `local_hits + remote_hits + storage_fetches` sums to the total

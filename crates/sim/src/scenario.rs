@@ -3,8 +3,8 @@
 use crate::{run_single_job, JobConfig, RunMetrics, SamplingMode};
 use icache_baselines::{IlfuCache, LruCache, MinIoCache, OracleSource, QuiverCache};
 use icache_core::{
-    CacheService, CacheSystem, DistributedCache, DistributedConfig, IcacheConfig, IcacheManager,
-    RecoveryMode, ServiceConfig, Substitution,
+    CacheService, CacheSystem, IcacheConfig, IcacheManager, RecoveryMode, ServiceConfig,
+    Substitution,
 };
 use icache_dnn::ModelProfile;
 use icache_sampling::ImportanceCriterion;
@@ -387,9 +387,42 @@ impl Scenario {
         )
     }
 
-    /// Run the scenario on a [`DistributedCache`] cluster of `nodes`
-    /// data-parallel ranks (§III-E), one sharded job per node, all sharing
-    /// the scenario seed so the shards walk one common epoch plan.
+    /// The checks and per-rank job configs every distributed run
+    /// shares, with the default service configuration for the cluster.
+    fn distributed_setup(&self, nodes: u32) -> Result<(ServiceConfig, Vec<JobConfig>)> {
+        if self.system != SystemKind::Icache {
+            return Err(icache_types::Error::InvalidConfig {
+                field: "system",
+                reason: format!(
+                    "distributed runs require the iCache system, got {:?}",
+                    self.system
+                ),
+            });
+        }
+        if nodes < 2 {
+            return Err(icache_types::Error::InvalidConfig {
+                field: "nodes",
+                reason: format!("a distributed run needs at least 2 nodes, got {nodes}"),
+            });
+        }
+        let config =
+            ServiceConfig::for_dataset(&self.dataset, nodes as usize, self.cache_fraction)?;
+        let jobs = (0..nodes)
+            .map(|k| {
+                let mut cfg = self.job_config(JobId(k));
+                cfg.shard = Some((k, nodes));
+                // Shards share one epoch plan: same seed on every rank.
+                cfg.seed = self.seed;
+                cfg
+            })
+            .collect();
+        Ok((config, jobs))
+    }
+
+    /// Run the scenario on a static, quiet-service-plane [`CacheService`]
+    /// cluster of `nodes` data-parallel ranks (§III-E), one sharded job
+    /// per node, all sharing the scenario seed so the shards walk one
+    /// common epoch plan.
     ///
     /// Only [`SystemKind::Icache`] has a distributed deployment; other
     /// systems are rejected. Rank 0 emits the `epoch_start`/`epoch_end`
@@ -406,44 +439,18 @@ impl Scenario {
         nodes: u32,
         obs: &icache_obs::Obs,
     ) -> Result<Vec<RunMetrics>> {
-        if self.system != SystemKind::Icache {
-            return Err(icache_types::Error::InvalidConfig {
-                field: "system",
-                reason: format!(
-                    "distributed runs require the iCache system, got {:?}",
-                    self.system
-                ),
-            });
-        }
-        if nodes < 2 {
-            return Err(icache_types::Error::InvalidConfig {
-                field: "nodes",
-                reason: format!("a distributed run needs at least 2 nodes, got {nodes}"),
-            });
-        }
-        let mut cluster = DistributedCache::new(
-            DistributedConfig::for_dataset(&self.dataset, nodes as usize, self.cache_fraction)?,
-            &self.dataset,
-        )?;
+        let (config, jobs) = self.distributed_setup(nodes)?;
+        let mut cluster = CacheService::new(config.quiet(), &self.dataset)?;
         let mut storage = self.build_storage()?;
-        let configs = (0..nodes)
-            .map(|k| {
-                let mut cfg = self.job_config(JobId(k));
-                cfg.shard = Some((k, nodes));
-                // Shards share one epoch plan: same seed on every rank.
-                cfg.seed = self.seed;
-                cfg
-            })
-            .collect();
-        crate::run_multi_job_with_obs(configs, &mut cluster, storage.as_mut(), obs)
+        crate::run_multi_job_with_obs(jobs, &mut cluster, storage.as_mut(), obs)
     }
 
-    /// Like [`Scenario::run_distributed_with_obs`], but on the full
-    /// [`CacheService`] with membership churn enabled: a heartbeat
-    /// failure detector, directory repartitioning, and (optionally) a
-    /// scheduled kill/rejoin of one node. Returns the service alongside
-    /// the per-rank metrics so callers can assert on post-run cluster
-    /// state (membership, directory ownership, recovery counters).
+    /// Like [`Scenario::run_distributed_with_obs`], but with membership
+    /// churn enabled: a heartbeat failure detector, directory
+    /// repartitioning, and (optionally) a scheduled kill/rejoin of one
+    /// node. Returns the service alongside the per-rank metrics so
+    /// callers can assert on post-run cluster state (membership,
+    /// directory ownership, recovery counters).
     ///
     /// # Errors
     ///
@@ -456,24 +463,8 @@ impl Scenario {
         churn: &ChurnSpec,
         obs: &icache_obs::Obs,
     ) -> Result<(Vec<RunMetrics>, CacheService)> {
-        if self.system != SystemKind::Icache {
-            return Err(icache_types::Error::InvalidConfig {
-                field: "system",
-                reason: format!(
-                    "distributed runs require the iCache system, got {:?}",
-                    self.system
-                ),
-            });
-        }
-        if nodes < 2 {
-            return Err(icache_types::Error::InvalidConfig {
-                field: "nodes",
-                reason: format!("a distributed run needs at least 2 nodes, got {nodes}"),
-            });
-        }
-        let dist =
-            DistributedConfig::for_dataset(&self.dataset, nodes as usize, self.cache_fraction)?;
-        let mut svc_cfg = ServiceConfig::from_distributed(&dist).with_churn();
+        let (config, jobs) = self.distributed_setup(nodes)?;
+        let mut svc_cfg = config.with_churn();
         svc_cfg.race_fetches = churn.race;
         if let Some(latency) = churn.net_latency {
             svc_cfg.control.latency = latency;
@@ -496,16 +487,7 @@ impl Scenario {
             }
         }
         let mut storage = self.build_storage()?;
-        let configs = (0..nodes)
-            .map(|k| {
-                let mut cfg = self.job_config(JobId(k));
-                cfg.shard = Some((k, nodes));
-                // Shards share one epoch plan: same seed on every rank.
-                cfg.seed = self.seed;
-                cfg
-            })
-            .collect();
-        let metrics = crate::run_multi_job_with_obs(configs, &mut service, storage.as_mut(), obs)?;
+        let metrics = crate::run_multi_job_with_obs(jobs, &mut service, storage.as_mut(), obs)?;
         Ok((metrics, service))
     }
 }
@@ -524,8 +506,8 @@ pub struct ChurnSpec {
     /// restarting with an empty cache. Only meaningful with `rejoin`.
     pub warm: bool,
     /// Override both control- and data-plane link latency (the
-    /// `--net-latency` flag); `None` keeps the facade-equivalent
-    /// defaults (zero control latency, `remote_hop` data latency).
+    /// `--net-latency` flag); `None` keeps the [`ServiceConfig`]
+    /// defaults (zero control latency, 80 µs data hop).
     pub net_latency: Option<SimDuration>,
     /// Race remote cache reads against a hedged local storage fetch.
     pub race: bool,

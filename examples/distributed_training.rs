@@ -6,7 +6,7 @@
 //! cargo run --release --example distributed_training
 //! ```
 
-use icache::core::{CacheSystem, DistributedCache, DistributedConfig};
+use icache::core::{CacheService, CacheSystem, ServiceConfig};
 use icache::dnn::ModelProfile;
 use icache::sim::{run_multi_job, JobConfig, SamplingMode};
 use icache::storage::{Nfs, NfsConfig, StorageBackend};
@@ -29,10 +29,8 @@ fn main() -> Result<(), icache::types::Error> {
         })
         .collect();
 
-    let mut cluster = DistributedCache::new(
-        DistributedConfig::for_dataset(&dataset, NODES as usize, 0.2)?,
-        &dataset,
-    )?;
+    let config = ServiceConfig::for_dataset(&dataset, NODES as usize, 0.2)?.quiet();
+    let mut cluster = CacheService::new(config, &dataset)?;
     let mut nfs = Nfs::new(NfsConfig::cloud_default())?;
 
     println!("{NODES}-node data-parallel ResNet18 on CIFAR-10 over NFS...\n");
@@ -49,7 +47,7 @@ fn main() -> Result<(), icache::types::Error> {
 
     println!();
     println!("cluster capacity: {}", cluster.capacity());
-    println!("directory entries: {}", cluster.directory().len());
+    println!("directory entries: {}", cluster.directory_len());
     println!("peer-cache hits:   {}", cluster.remote_hits());
     println!("storage reads:     {}", nfs.stats().total_reads());
     println!();

@@ -13,7 +13,7 @@ use icache::dnn::ModelProfile;
 use icache::sim::replay::{replay, summarize, Trace};
 use icache::sim::{run_single_job, JobConfig, SamplingMode, TracingCache};
 use icache::storage::{Pfs, PfsConfig};
-use icache::types::{Dataset, JobId};
+use icache::types::{Dataset, JobId, SimDuration};
 use std::collections::HashMap;
 
 fn main() -> Result<(), icache::types::Error> {
@@ -90,7 +90,17 @@ fn main() -> Result<(), icache::types::Error> {
     let trace = Trace::parse_jsonl(&traced.to_jsonl())?;
     let mut lru = LruCache::new(dataset.total_bytes().scaled(0.2));
     let mut storage = Pfs::new(PfsConfig::orangefs_default())?;
-    let rep = replay(&trace, &dataset, &mut lru, &mut storage);
+    // Depth 0, zero compute: the classic back-to-back replay.
+    let obs = icache::obs::Obs::noop();
+    let rep = replay(
+        &trace,
+        &dataset,
+        &mut lru,
+        &mut storage,
+        0,
+        SimDuration::ZERO,
+        obs,
+    );
     println!(
         "\nsame request stream through a plain LRU: {}",
         summarize(&rep)

@@ -1,7 +1,7 @@
 //! Integration tests of the distributed cache (§III-E) driven through the
 //! training simulator.
 
-use icache::core::{DistributedCache, DistributedConfig};
+use icache::core::{CacheService, ServiceConfig};
 use icache::dnn::ModelProfile;
 use icache::sim::{run_multi_job, JobConfig, SamplingMode};
 use icache::storage::{Nfs, NfsConfig, StorageBackend};
@@ -21,11 +21,10 @@ fn shard_jobs(dataset: &Dataset, nodes: u32, epochs: u32) -> Vec<JobConfig> {
 }
 
 fn run_cluster(dataset: &Dataset, nodes: u32) -> (Vec<icache::sim::RunMetrics>, u64, u64) {
-    let mut cluster = DistributedCache::new(
-        DistributedConfig::for_dataset(dataset, nodes as usize, 0.2).expect("cfg"),
-        dataset,
-    )
-    .expect("cluster");
+    let config = ServiceConfig::for_dataset(dataset, nodes as usize, 0.2)
+        .expect("cfg")
+        .quiet();
+    let mut cluster = CacheService::new(config, dataset).expect("cluster");
     let mut nfs = Nfs::new(NfsConfig::cloud_default()).expect("nfs");
     let out = run_multi_job(shard_jobs(dataset, nodes, 3), &mut cluster, &mut nfs).expect("runs");
     (out, cluster.remote_hits(), nfs.stats().total_reads())

@@ -3,7 +3,7 @@
 //! agrees with the cluster's own accounting, and the directory's
 //! insert/remove counters reconcile with its final size.
 
-use icache::core::{DistributedCache, DistributedConfig};
+use icache::core::{CacheService, ServiceConfig};
 use icache::dnn::ModelProfile;
 use icache::obs::Obs;
 use icache::sim::{run_multi_job_with_obs, JobConfig, RunMetrics, SamplingMode};
@@ -25,13 +25,12 @@ fn shard_jobs(dataset: &Dataset, nodes: u32) -> Vec<JobConfig> {
         .collect()
 }
 
-fn run_cluster(nodes: u32) -> (Vec<RunMetrics>, DistributedCache, Obs) {
+fn run_cluster(nodes: u32) -> (Vec<RunMetrics>, CacheService, Obs) {
     let dataset = Dataset::cifar10().scaled(0.04).expect("scale");
-    let mut cluster = DistributedCache::new(
-        DistributedConfig::for_dataset(&dataset, nodes as usize, 0.2).expect("cfg"),
-        &dataset,
-    )
-    .expect("cluster");
+    let config = ServiceConfig::for_dataset(&dataset, nodes as usize, 0.2)
+        .expect("cfg")
+        .quiet();
+    let mut cluster = CacheService::new(config, &dataset).expect("cluster");
     let mut nfs = Nfs::new(NfsConfig::cloud_default()).expect("nfs");
     let obs = Obs::new();
     let runs = run_multi_job_with_obs(shard_jobs(&dataset, nodes), &mut cluster, &mut nfs, &obs)
@@ -98,7 +97,7 @@ fn directory_len_reconciles_with_insert_and_remove_counters() {
     let removes = obs.counter("dist.directory.removes");
     assert!(inserts > 0, "a training run must populate the directory");
     assert_eq!(
-        cluster.directory().len() as u64,
+        cluster.directory_len() as u64,
         inserts - removes,
         "fresh inserts minus successful removes must equal the mapping size"
     );

@@ -1,14 +1,21 @@
-//! Integration tests of the tooling layer: the request/response server,
-//! tracing, replay, PM tier, and criterion extensions working together —
-//! the workflows a downstream user composes from the public API.
+//! Integration tests of the tooling layer: tracing, replay, PM tier, and
+//! criterion extensions working together — the workflows a downstream
+//! user composes from the public API.
 
-use icache::core::{IcacheConfig, IcacheManager, IcacheServer, PmTierConfig, Request, Response};
+use icache::core::{CacheSystem, IcacheConfig, IcacheManager, PmTierConfig};
 use icache::dnn::ModelProfile;
 use icache::sampling::ImportanceCriterion;
-use icache::sim::replay::{replay, AccessPattern, Trace};
+use icache::sim::replay::{replay, AccessPattern, ReplayReport, Trace};
 use icache::sim::{run_single_job, JobConfig, SamplingMode, Scenario, SystemKind, TracingCache};
 use icache::storage::{LocalTier, Pfs, PfsConfig};
-use icache::types::{Dataset, JobId, SampleId, SimTime};
+use icache::types::{Dataset, JobId, SimDuration};
+
+/// The classic replay: demand fetches, no compute.
+fn back_to_back(trace: &Trace, dataset: &Dataset, cache: &mut dyn CacheSystem) -> ReplayReport {
+    let mut tmpfs = LocalTier::tmpfs();
+    let obs = icache::obs::Obs::noop();
+    replay(trace, dataset, cache, &mut tmpfs, 0, SimDuration::ZERO, obs)
+}
 
 #[test]
 fn record_with_tracing_then_replay_reproduces_the_request_stream() {
@@ -34,73 +41,9 @@ fn record_with_tracing_then_replay_reproduces_the_request_stream() {
     let trace = Trace::parse_jsonl(&traced.to_jsonl()).expect("parse");
     assert_eq!(trace.len() as u64, fetched);
     let mut lru = icache::baselines::LruCache::new(dataset.total_bytes().scaled(0.2));
-    let mut tmpfs = LocalTier::tmpfs();
-    let report = replay(&trace, &dataset, &mut lru, &mut tmpfs);
+    let report = back_to_back(&trace, &dataset, &mut lru);
     assert_eq!(report.stats.requests(), fetched);
     assert_eq!(report.latency.count(), fetched);
-}
-
-#[test]
-fn server_facade_drives_a_whole_training_loop() {
-    let dataset = Dataset::cifar10().scaled(0.01).expect("scale");
-    let manager = IcacheManager::new(
-        IcacheConfig::for_dataset(&dataset, 0.3).expect("cfg"),
-        &dataset,
-    )
-    .expect("manager");
-    let mut server = IcacheServer::new(manager, dataset.clone());
-    let mut storage = Pfs::new(PfsConfig::orangefs_default()).expect("pfs");
-
-    // Two epochs of batched loads through the wire-level interface.
-    let mut now = SimTime::ZERO;
-    for epoch in 0..2u32 {
-        assert_eq!(
-            server.handle(
-                Request::EpochStart {
-                    job: JobId(0),
-                    epoch: icache::types::Epoch(epoch)
-                },
-                &mut storage
-            ),
-            Response::Ack
-        );
-        for batch_start in (0..dataset.len()).step_by(64) {
-            let ids: Vec<SampleId> = (batch_start..(batch_start + 64).min(dataset.len()))
-                .map(SampleId)
-                .collect();
-            match server.handle(
-                Request::Load {
-                    job: JobId(0),
-                    ids,
-                    now,
-                },
-                &mut storage,
-            ) {
-                Response::Batch(fetches) => now = fetches.last().expect("non-empty").ready_at,
-                other => panic!("unexpected reply {other:?}"),
-            }
-        }
-        assert_eq!(
-            server.handle(
-                Request::EpochEnd {
-                    job: JobId(0),
-                    epoch: icache::types::Epoch(epoch)
-                },
-                &mut storage
-            ),
-            Response::Ack
-        );
-    }
-    let Response::Stats(stats) = server.handle(Request::Stats, &mut storage) else {
-        panic!("expected stats");
-    };
-    assert_eq!(stats.requests(), dataset.len() * 2);
-    // Warm-up filled the cache: the second epoch must have hit.
-    assert!(
-        stats.hit_ratio() > 0.1,
-        "hit ratio {:.3}",
-        stats.hit_ratio()
-    );
 }
 
 #[test]
@@ -166,12 +109,10 @@ fn zipf_replay_ranks_policies_sanely() {
     let cap = dataset.total_bytes().scaled(0.1);
 
     let mut lru = icache::baselines::LruCache::new(cap);
-    let mut st = LocalTier::tmpfs();
-    let lru_rep = replay(&trace, &dataset, &mut lru, &mut st);
+    let lru_rep = back_to_back(&trace, &dataset, &mut lru);
 
     let mut lfu = icache::baselines::IlfuCache::new(cap);
-    let mut st = LocalTier::tmpfs();
-    let lfu_rep = replay(&trace, &dataset, &mut lfu, &mut st);
+    let lfu_rep = back_to_back(&trace, &dataset, &mut lfu);
 
     // Zipf favours frequency-aware policies.
     assert!(lru_rep.hit_ratio() > 0.4);
