@@ -16,10 +16,11 @@
 //! iteration order — the property that keeps every golden byte-stable
 //! across the BTree → slab migration.
 //!
-//! When `SampleId` keys are *sparse* (e.g. hashing-assigned directory
-//! shards) or the key is not a `SampleId` at all (`JobId`, `NodeId`,
-//! epoch counters), a slab would waste memory proportional to the key
-//! range — those maps stay on `BTreeMap`.
+//! When the key is not a `SampleId` at all (`JobId`, `NodeId`, epoch
+//! counters) a slab does not apply — those maps stay on `BTreeMap`. A
+//! slab over a hash-assigned *subset* of the ids (a directory shard, a
+//! heap shard) is N× sparse; that is accepted where the slots are a few
+//! bytes each and the map sits on the per-fetch path.
 //!
 //! [`IdSet`] (the companion fixed-universe bitmap set) lives in
 //! `icache_types` and is re-exported here so the dense layer has one

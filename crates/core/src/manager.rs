@@ -315,6 +315,9 @@ impl IcacheManager {
             + SimDuration::from_secs_f64(size.as_f64() / self.config.dram_bandwidth)
     }
 
+    /// The importance an H-miss is admitted at: the effective view first
+    /// (the last pushed list, or the multi-job aggregate), then the
+    /// requesting job's own H-list — both one array read.
     fn admission_value(&self, job: JobId, id: SampleId) -> ImportanceValue {
         self.effective_iv.get(id).copied().unwrap_or_else(|| {
             self.coordinator
@@ -1120,6 +1123,59 @@ mod tests {
             0,
             "unknown jobs are zeroed"
         );
+    }
+
+    #[test]
+    fn h_miss_of_an_earlier_job_is_admitted_at_its_own_importance() {
+        // Two jobs, disjoint H-lists, no multi-job aggregation: the
+        // effective view is whichever list was pushed last (job 1's), so
+        // job 0's H-misses must fall back to job 0's own list — what
+        // every node of a sharded `--nodes N` run does for N-1 jobs.
+        let ds = tiny_dataset();
+        let list = |lo: u64, iv: fn(u64) -> f64| {
+            let mut t = ImportanceTable::new(ds.len());
+            for i in 0..ds.len() {
+                let in_range = (lo..lo + 100).contains(&i);
+                t.record_loss(SampleId(i), if in_range { iv(i - lo) } else { 0.001 });
+            }
+            HList::top_fraction(&t, 0.1)
+        };
+        let mut m = manager(&ds, 0.05);
+        let mut st = LocalTier::tmpfs();
+        m.update_hlist(JobId(0), &list(0, |k| 0.5 + 0.1 * k as f64));
+        m.update_hlist(JobId(1), &list(500, |_| 2.0));
+        m.on_epoch_start(JobId(0), Epoch(0));
+
+        // Job 1 fills the H-region with its own samples, all at IV 2.0.
+        let mut now = SimTime::ZERO;
+        for i in 500..600u64 {
+            let id = SampleId(i);
+            now = m
+                .fetch(JobId(1), id, ds.sample_size(id), now, &mut st)
+                .ready_at;
+        }
+        let full = m.h_len();
+        assert!(full > 0 && m.stats().rejections > 0, "H-region is full");
+
+        // Job 0's sample 3 carries IV 0.8 on job 0's list: below every
+        // resident, so Algorithm 1 rejects it.
+        let before = m.stats();
+        let cold = SampleId(3);
+        let f = m.fetch(JobId(0), cold, ds.sample_size(cold), now, &mut st);
+        assert_eq!(f.outcome, FetchOutcome::Miss);
+        assert_eq!(m.stats().rejections, before.rejections + 1);
+        assert!(!m.contains_cached(cold));
+
+        // Sample 90 carries IV 9.5 there: it displaces one IV-2.0 resident.
+        let before = m.stats();
+        let hot = SampleId(90);
+        let f = m.fetch(JobId(0), hot, ds.sample_size(hot), f.ready_at, &mut st);
+        assert_eq!(f.outcome, FetchOutcome::Miss);
+        assert_eq!(m.stats().insertions, before.insertions + 1);
+        assert_eq!(m.stats().evictions, before.evictions + 1);
+        assert_eq!(m.h_len(), full);
+        let again = m.fetch(JobId(0), hot, ds.sample_size(hot), f.ready_at, &mut st);
+        assert_eq!(again.outcome, FetchOutcome::HitH);
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //! shard, so the counters below aggregate across shards exactly as they
 //! did for the old single-map directory.
 
+use crate::dense::IdSlab;
 use icache_obs::{Obs, Observable, TraceEvent};
 use icache_types::{NodeId, SampleId};
-use std::collections::BTreeMap;
 
 /// What a [`DirectoryKv::insert`] actually did.
 ///
@@ -88,14 +88,16 @@ impl DirectoryChange {
 /// ```
 #[derive(Debug)]
 pub struct DirectoryKv {
-    map: BTreeMap<SampleId, NodeId>,
+    /// One slot per sample id up to the largest this shard has hosted:
+    /// lookups are one array read, iteration ascends by id.
+    map: IdSlab<NodeId>,
     obs: Obs,
 }
 
 impl Default for DirectoryKv {
     fn default() -> Self {
         DirectoryKv {
-            map: BTreeMap::new(),
+            map: IdSlab::new(),
             obs: Obs::noop(),
         }
     }
@@ -140,14 +142,14 @@ impl DirectoryKv {
     /// The node caching `id`, if any.
     pub fn lookup(&self, id: SampleId) -> Option<NodeId> {
         self.obs.inc("dist.directory.lookups");
-        self.map.get(&id).copied()
+        self.map.get(id).copied()
     }
 
     /// [`DirectoryKv::lookup`] without touching the `lookups` counter —
     /// for internal reconciliation reads (repartitioning, recovery
     /// anti-entropy) that are not fetch-path directory traffic.
     pub fn peek(&self, id: SampleId) -> Option<NodeId> {
-        self.map.get(&id).copied()
+        self.map.get(id).copied()
     }
 
     /// Register `id` as cached on `node`.
@@ -178,7 +180,7 @@ impl DirectoryKv {
     /// Unregister `id`; returns the previous owner. Removing a missing
     /// sample is a no-op for the counters.
     pub fn remove(&mut self, id: SampleId) -> Option<NodeId> {
-        let prev = self.map.remove(&id);
+        let prev = self.map.remove(id);
         if prev.is_some() {
             self.obs.inc("dist.directory.removes");
         }
@@ -187,7 +189,7 @@ impl DirectoryKv {
 
     /// Iterate `(sample, owner)` entries in sample order.
     pub fn entries(&self) -> impl Iterator<Item = (SampleId, NodeId)> + '_ {
-        self.map.iter().map(|(&s, &n)| (s, n))
+        self.map.iter().map(|(s, &n)| (s, n))
     }
 
     /// Install a mapping without touching any counter — used when a
@@ -197,10 +199,12 @@ impl DirectoryKv {
         self.map.insert(id, node);
     }
 
-    /// Drain the whole mapping (counter-neutral), leaving the shard
-    /// empty — the first step of a repartition.
-    pub(crate) fn take_map(&mut self) -> BTreeMap<SampleId, NodeId> {
-        std::mem::take(&mut self.map)
+    /// Drain the whole mapping (counter-neutral) in sample order,
+    /// leaving the shard empty — the first step of a repartition.
+    pub(crate) fn take_map(&mut self) -> Vec<(SampleId, NodeId)> {
+        let drained = self.entries().collect();
+        self.map.clear();
+        drained
     }
 }
 
@@ -306,5 +310,113 @@ mod tests {
         assert_eq!(dir.remove(SampleId(1)), Some(NodeId(0)));
         assert_eq!(obs.counter("dist.directory.removes"), 1);
         assert!(dir.is_empty());
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Insert(u64, u32),
+        Remove(u64),
+        Lookup(u64),
+        Peek(u64),
+        Adopt(u64, u32),
+        TakeMap,
+    }
+
+    fn op_strategy() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (0u64..150, 0u32..4).prop_map(|(id, n)| Op::Insert(id, n)),
+            (0u64..150, 0u32..4).prop_map(|(id, n)| Op::Insert(id, n)),
+            (0u64..150).prop_map(Op::Remove),
+            (0u64..150).prop_map(Op::Lookup),
+            (0u64..150).prop_map(Op::Peek),
+            (0u64..150, 0u32..4).prop_map(|(id, n)| Op::Adopt(id, n)),
+            // About one op in fifty drains the shard, so it has time to fill.
+            (0u64..150, 0u32..7).prop_map(|(id, roll)| match roll {
+                0 => Op::TakeMap,
+                _ => Op::Peek(id),
+            }),
+        ]
+    }
+
+    /// The counters as the type docs define them, kept by the oracle.
+    #[derive(Debug, Default, PartialEq)]
+    struct Counters {
+        lookups: u64,
+        inserts: u64,
+        removes: u64,
+        remaps: u64,
+    }
+
+    proptest! {
+        /// Model-based differential in the style of `dense.rs`: a
+        /// [`DirectoryKv`] driven by an arbitrary op sequence returns
+        /// what a `BTreeMap` oracle returns, iterates in the oracle's
+        /// order after every op, and counts exactly the traffic the
+        /// type docs say it counts.
+        #[test]
+        fn directory_matches_btreemap(ops in proptest::collection::vec(op_strategy(), 1..300)) {
+            let obs = Obs::new();
+            let mut dir = DirectoryKv::new().with_obs(obs.clone());
+            let mut model: BTreeMap<SampleId, NodeId> = BTreeMap::new();
+            let mut want = Counters::default();
+            for op in ops {
+                match op {
+                    Op::Insert(id, n) => {
+                        let (id, node) = (SampleId(id), NodeId(n));
+                        let change = match model.insert(id, node) {
+                            None => {
+                                want.inserts += 1;
+                                DirectoryChange::Inserted
+                            }
+                            Some(old) if old != node => {
+                                want.remaps += 1;
+                                DirectoryChange::Remapped { from: old }
+                            }
+                            Some(_) => DirectoryChange::Unchanged,
+                        };
+                        prop_assert_eq!(dir.insert(id, node), change);
+                    }
+                    Op::Remove(id) => {
+                        let prev = model.remove(&SampleId(id));
+                        want.removes += u64::from(prev.is_some());
+                        prop_assert_eq!(dir.remove(SampleId(id)), prev);
+                    }
+                    Op::Lookup(id) => {
+                        want.lookups += 1;
+                        prop_assert_eq!(dir.lookup(SampleId(id)), model.get(&SampleId(id)).copied());
+                    }
+                    Op::Peek(id) => {
+                        prop_assert_eq!(dir.peek(SampleId(id)), model.get(&SampleId(id)).copied());
+                    }
+                    Op::Adopt(id, n) => {
+                        dir.adopt(SampleId(id), NodeId(n));
+                        model.insert(SampleId(id), NodeId(n));
+                    }
+                    Op::TakeMap => {
+                        let drained: Vec<_> = std::mem::take(&mut model).into_iter().collect();
+                        prop_assert_eq!(dir.take_map(), drained);
+                    }
+                }
+                prop_assert_eq!(dir.len(), model.len());
+                prop_assert_eq!(dir.is_empty(), model.is_empty());
+                let want_entries: Vec<_> = model.iter().map(|(&s, &n)| (s, n)).collect();
+                prop_assert_eq!(dir.entries().collect::<Vec<_>>(), want_entries.clone());
+                prop_assert_eq!(dir.detach().entries().collect::<Vec<_>>(), want_entries);
+                let got = Counters {
+                    lookups: obs.counter("dist.directory.lookups"),
+                    inserts: obs.counter("dist.directory.inserts"),
+                    removes: obs.counter("dist.directory.removes"),
+                    remaps: obs.counter("dist.directory.remaps"),
+                };
+                prop_assert_eq!(&got, &want);
+            }
+        }
     }
 }

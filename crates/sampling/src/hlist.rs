@@ -2,6 +2,7 @@
 
 use crate::ImportanceTable;
 use icache_types::{IdSet, ImportanceValue, SampleId};
+use std::sync::Arc;
 
 /// One `<ID, IV>` vector entry of the H-list (both 64-bit, as in §III-A).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -16,8 +17,15 @@ pub struct HListEntry {
 /// pulls: the ids and importance values of the samples currently considered
 /// *H-samples* (paper §III-A).
 ///
-/// Membership tests are O(1) (bitmap), which Algorithm 1 needs on every
-/// sample of every batch.
+/// Both per-sample queries are O(1) whatever the list's length (by default
+/// half the dataset, `h_list_fraction = 0.5`): [`HList::contains`] reads
+/// one bit of a bitmap — Algorithm 1 asks it for every sample of every
+/// batch — and [`HList::importance`] reads one slot of a dense id→rank
+/// index, which the manager consults on every H-miss.
+///
+/// An `HList` is immutable once built and its payload sits behind an
+/// [`Arc`], so `clone()` is a pointer copy: one list broadcast to every
+/// node of a cluster is stored once.
 ///
 /// # Examples
 ///
@@ -35,18 +43,40 @@ pub struct HListEntry {
 /// assert!(!hl.contains(SampleId(0)));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-pub struct HList {
+pub struct HList(Arc<Payload>);
+
+#[derive(Debug, PartialEq)]
+struct Payload {
     entries: Vec<HListEntry>,
+    /// Derivable from `rank`, kept because every fetch asks `contains`:
+    /// a bit of this set stays cache-resident where a 4-byte rank slot per
+    /// id does not (`replay-hot` / `replay-cold` ran ~4 % slower without).
     members: IdSet,
+    /// `rank[id]` is the 1-based position of `id` in `entries`, 0 when
+    /// `id` is not an H-sample; one slot per id of the universe.
+    rank: Vec<u32>,
 }
 
 impl HList {
     /// An empty H-list over a universe of `num_samples` ids.
     pub fn empty(num_samples: u64) -> Self {
-        HList {
-            entries: Vec::new(),
-            members: IdSet::new(num_samples),
+        Self::from_ranked(Vec::new(), num_samples)
+    }
+
+    /// Index `entries` (already in descending importance order, ids
+    /// unique and below `num_samples`).
+    fn from_ranked(entries: Vec<HListEntry>, num_samples: u64) -> Self {
+        let mut members = IdSet::new(num_samples);
+        let mut rank = vec![0u32; num_samples as usize];
+        for (pos, e) in entries.iter().enumerate() {
+            members.insert(e.id);
+            rank[e.id.index()] = u32::try_from(pos + 1).expect("H-list ranks fit in 32 bits");
         }
+        HList(Arc::new(Payload {
+            entries,
+            members,
+            rank,
+        }))
     }
 
     /// Build the H-list as the top `fraction` of samples by importance.
@@ -59,66 +89,72 @@ impl HList {
         Self::top_k(table, k)
     }
 
-    /// Build the H-list as the `k` most important samples.
+    /// Build the H-list as the `k` most important samples: the first `k`
+    /// of [`ImportanceTable::ranked_ids`], found by partitioning around
+    /// the `k`-th and sorting only the top part.
     pub fn top_k(table: &ImportanceTable, k: usize) -> Self {
         let k = k.min(table.len() as usize);
-        let ranked = table.ranked_ids();
-        let mut members = IdSet::new(table.len());
-        let entries: Vec<HListEntry> = ranked[..k]
-            .iter()
-            .map(|&id| {
-                members.insert(id);
-                HListEntry {
-                    id,
-                    iv: table.value(id),
-                }
+        let mut ids: Vec<SampleId> = (0..table.len()).map(SampleId).collect();
+        let by_rank = |a: &SampleId, b: &SampleId| table.rank_order(*a, *b);
+        if 0 < k && k < ids.len() {
+            ids.select_nth_unstable_by(k - 1, by_rank);
+        }
+        ids.truncate(k);
+        ids.sort_unstable_by(by_rank);
+        let entries = ids
+            .into_iter()
+            .map(|id| HListEntry {
+                id,
+                iv: table.value(id),
             })
             .collect();
-        HList { entries, members }
+        Self::from_ranked(entries, table.len())
     }
 
     /// Number of H-samples.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.0.entries.len()
     }
 
     /// True when there are no H-samples.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.0.entries.is_empty()
     }
 
     /// O(1) membership test: is `id` an H-sample?
     #[inline]
     pub fn contains(&self, id: SampleId) -> bool {
-        self.members.contains(id)
+        self.0.members.contains(id)
     }
 
-    /// The recorded importance of `id`, if it is an H-sample.
+    /// The recorded importance of `id`, if it is an H-sample — O(1): one
+    /// read of the rank index, then one of the entry it names.
+    #[inline]
     pub fn importance(&self, id: SampleId) -> Option<ImportanceValue> {
-        // entries are few (a cache-sized subset); linear scan is only used
-        // off the fast path, membership uses the bitmap.
-        self.entries.iter().find(|e| e.id == id).map(|e| e.iv)
+        let rank = *self.0.rank.get(id.index())?;
+        let pos = (rank as usize).checked_sub(1)?;
+        Some(self.0.entries[pos].iv)
     }
 
     /// Entries in descending importance order.
     pub fn entries(&self) -> &[HListEntry] {
-        &self.entries
+        &self.0.entries
     }
 
     /// Iterate over the H-sample ids in descending importance order.
     pub fn ids(&self) -> impl Iterator<Item = SampleId> + '_ {
-        self.entries.iter().map(|e| e.id)
+        self.0.entries.iter().map(|e| e.id)
     }
 
     /// The smallest importance value on the list (the admission bar).
     pub fn min_importance(&self) -> Option<ImportanceValue> {
-        self.entries.last().map(|e| e.iv)
+        self.0.entries.last().map(|e| e.iv)
     }
 
     /// Approximate space of the ID/IV vectors in bytes (16 B per entry,
     /// §III-A's overhead accounting).
     pub fn space_bytes(&self) -> u64 {
-        self.entries.len() as u64 * 16
+        self.0.entries.len() as u64 * 16
     }
 }
 
@@ -181,6 +217,70 @@ mod tests {
         let hl = HList::empty(10);
         assert!(hl.is_empty());
         assert!(!hl.contains(SampleId(0)));
+        assert_eq!(hl.importance(SampleId(0)), None);
+        assert_eq!(hl.importance(SampleId(10)), None, "outside the universe");
         assert_eq!(hl.min_importance(), None);
+    }
+
+    #[test]
+    fn top_k_is_a_prefix_of_ranked_ids_under_heavy_ties() {
+        // Three distinct losses over 97 ids plus a block left at the
+        // prior: almost every comparison is decided by the id tie-break.
+        let mut t = ImportanceTable::new(97);
+        for i in 0..80 {
+            t.record_loss(SampleId(i), (i % 3) as f64);
+        }
+        let ranked = t.ranked_ids();
+        for k in 0..=ranked.len() + 1 {
+            let got: Vec<SampleId> = HList::top_k(&t, k).ids().collect();
+            assert_eq!(got, ranked[..k.min(ranked.len())], "k = {k}");
+        }
+    }
+
+    #[test]
+    fn clones_share_one_payload() {
+        let hl = HList::top_k(&table(100), 25);
+        let copy = hl.clone();
+        assert_eq!(copy, hl);
+        assert!(std::ptr::eq(copy.entries(), hl.entries()));
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Differential against the linear scan the rank index replaced:
+        /// for every id of the universe (and a few beyond it) the two
+        /// agree, `contains` is `importance().is_some()`, and a clone is
+        /// indistinguishable from its original.
+        #[test]
+        fn hlist_matches_linear_scan_oracle(
+            // A loss of 6 stands for "never trained": the id keeps the prior.
+            losses in proptest::collection::vec(0u8..7, 0..120),
+            percent in 0u32..=100,
+        ) {
+            let n = losses.len() as u64;
+            let mut t = ImportanceTable::new(n);
+            for (i, &loss) in losses.iter().enumerate() {
+                if loss < 6 {
+                    t.record_loss(SampleId(i as u64), f64::from(loss));
+                }
+            }
+            let hl = HList::top_fraction(&t, f64::from(percent) / 100.0);
+            let copy = hl.clone();
+            prop_assert_eq!(&copy, &hl);
+            let mut members = 0;
+            for id in (0..n + 3).map(SampleId) {
+                let oracle = hl.entries().iter().find(|e| e.id == id).map(|e| e.iv);
+                prop_assert_eq!(hl.importance(id), oracle);
+                prop_assert_eq!(copy.importance(id), oracle);
+                prop_assert_eq!(hl.contains(id), oracle.is_some());
+                members += usize::from(oracle.is_some());
+            }
+            prop_assert_eq!(members, hl.len(), "entry ids are unique");
+        }
     }
 }

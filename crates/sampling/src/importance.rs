@@ -1,6 +1,7 @@
 //! Loss-based importance tracking.
 
 use icache_types::{ImportanceValue, SampleId};
+use std::cmp::Ordering;
 
 /// Per-sample importance values maintained as an exponential moving average
 /// of observed training losses (the loss-based algorithm of Jiang et al.
@@ -120,16 +121,21 @@ impl ImportanceTable {
         &self.values
     }
 
+    /// The ranking order: descending importance, ties toward lower ids. A
+    /// total order in which no two distinct ids compare equal, so an
+    /// unstable sort has exactly one possible result.
+    pub(crate) fn rank_order(&self, a: SampleId, b: SampleId) -> Ordering {
+        self.values[b.index()]
+            .partial_cmp(&self.values[a.index()])
+            .expect("importance values are finite")
+            .then_with(|| a.0.cmp(&b.0))
+    }
+
     /// The ids sorted by descending importance. Ties break toward lower
     /// ids so the order is fully deterministic.
     pub fn ranked_ids(&self) -> Vec<SampleId> {
         let mut ids: Vec<SampleId> = (0..self.len()).map(SampleId).collect();
-        ids.sort_by(|a, b| {
-            self.values[b.index()]
-                .partial_cmp(&self.values[a.index()])
-                .expect("importance values are finite")
-                .then_with(|| a.0.cmp(&b.0))
-        });
+        ids.sort_unstable_by(|a, b| self.rank_order(*a, *b));
         ids
     }
 
