@@ -91,9 +91,8 @@ fn main() {
         .expect("runs");
 
         // iCache: the distributed cache with a shared directory.
-        let config = ServiceConfig::for_dataset(&dataset, nodes as usize, 0.2)
-            .expect("valid cluster")
-            .quiet();
+        let config =
+            ServiceConfig::for_dataset(&dataset, nodes as usize, 0.2).expect("valid cluster");
         let mut icache_cache = CacheService::new(config, &dataset).expect("valid cluster");
         let mut nfs = Nfs::new(NfsConfig::cloud_default()).expect("valid nfs");
         let icache = run_multi_job(

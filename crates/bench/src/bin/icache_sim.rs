@@ -96,8 +96,8 @@ const SPEC: Spec = Spec {
 };
 
 /// The churn spec implied by the churn flag group, or `None` when no
-/// churn flag was given (plain runs keep static membership and a quiet
-/// service plane, and with them their byte-identical output).
+/// churn flag was given (plain runs keep static membership, and with it
+/// their byte-identical output).
 fn churn_of(args: &Args) -> Result<Option<ChurnSpec>, String> {
     const CHURN_FLAGS: &[&str] = &[
         "kill-node",

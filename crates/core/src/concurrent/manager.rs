@@ -1,10 +1,9 @@
 //! The lock-striped concurrent cache manager.
 
-use super::{lock_counted, stripe_count, AtomicCacheStats, FreshPool, ShardedHeap, StripedMap};
-use crate::dense::{IdSet, IdSlab};
+use super::{lock_counted, stripe_count, AtomicCacheStats, FreshPool, StripedMap};
 use crate::{
-    CacheStats, CacheSystem, Fetch, FetchOutcome, IcacheConfig, MultiJobCoordinator, Packager,
-    Substitution,
+    CacheStats, CacheSystem, Fetch, FetchOutcome, HHeap, IcacheConfig, MultiJobCoordinator,
+    Packager, Substitution,
 };
 use icache_obs::Obs;
 use icache_sampling::HList;
@@ -14,7 +13,7 @@ use icache_types::{
 };
 use rand::rngs::StdRng;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, RwLock};
 
 /// A cache node servable by many loader threads concurrently.
@@ -161,6 +160,19 @@ struct LoaderState {
     pending: VecDeque<(crate::Package, SimTime)>,
     /// Loading-thread pacing horizon (virtual time).
     busy: SimTime,
+    /// Packages built since the last publish and their total bytes
+    /// (`lcache.packages_built` / `lcache.package_bytes`).
+    packages_built: u64,
+    package_bytes: u64,
+}
+
+/// The attached registry and what has already been published to it
+/// (the registry is add-only, so counter publishes are deltas).
+#[derive(Debug)]
+struct Published {
+    obs: Obs,
+    stats: CacheStats,
+    contention: u64,
 }
 
 /// The lock-striped concurrent counterpart of [`crate::IcacheManager`].
@@ -176,12 +188,15 @@ struct LoaderState {
 ///
 /// * fetches hold the epoch gate's **read** lock; `update_hlist` /
 ///   `on_epoch_start` / `on_epoch_end` hold **write** (stop-the-world);
+/// * the gate *carries* the current H-list, so H/L classification and
+///   admission importance are plain reads under the guard a fetch
+///   already holds;
 /// * resident membership is striped ([`StripedMap`], [`FreshPool`]),
-///   the H-heap is sharded ([`ShardedHeap`]), counters are atomics
-///   ([`AtomicCacheStats`]);
+///   counters are atomics ([`AtomicCacheStats`]);
 /// * H-region admissions (the multi-victim eviction loop) serialize on
-///   one admit lock — hits stay stripe-local; misses already pay a
-///   storage round trip, so the admit lock is off the fast path;
+///   one admit lock, which owns the H-heap — hits stay stripe-local;
+///   misses already pay a storage round trip, so the admit lock is off
+///   the fast path;
 /// * per-event traces are **not** emitted: unlike the sequential
 ///   manager, only counters and gauges are recorded, published at
 ///   epoch boundaries and on [`ConcurrentCache::set_obs`].
@@ -190,21 +205,18 @@ pub struct ConcurrentManager {
     config: IcacheConfig,
     dataset: Dataset,
     stripes: usize,
-    /// Epoch gate: fetches read, epoch-boundary operations write.
-    gate: RwLock<()>,
-    /// Which ids are currently H-samples (read-mostly; written only
-    /// under the gate's write lock). A dense bitmap over the dataset
-    /// universe: the membership test on every fetch is one word load.
-    h_members: RwLock<IdSet>,
-    have_hlist: AtomicBool,
-    /// Admission importance per id (written under the write gate).
-    effective_iv: RwLock<IdSlab<ImportanceValue>>,
+    /// Epoch gate: fetches read, epoch-boundary operations write. It
+    /// holds the current H-list (`None` during warm-up): which ids are
+    /// H-samples and at what admission importance.
+    gate: RwLock<Option<HList>>,
     // H region.
     h_items: StripedMap<ByteSize>,
-    h_heap: ShardedHeap,
     h_used: AtomicU64,
     h_capacity: AtomicU64,
-    admit: Mutex<()>,
+    /// The H-heap, owned by the admission lock: the evict-or-restore
+    /// loop is serial (Algorithm 1), so the heap needs no lock of its
+    /// own.
+    admit: Mutex<HHeap>,
     // L region.
     l_resident: StripedMap<ByteSize>,
     l_fresh: FreshPool,
@@ -219,12 +231,7 @@ pub struct ConcurrentManager {
     /// Contended acquisitions of the admit/loader/missed locks (stripe
     /// locks count their own; [`ConcurrentCache::contended`] sums all).
     own_contention: AtomicU64,
-    /// `cache.lock_contention` already published to the registry.
-    published_contention: AtomicU64,
-    obs: Mutex<Obs>,
-    /// Counter values already published to the registry (the registry
-    /// is add-only, so publishes are deltas).
-    published: Mutex<CacheStats>,
+    published: Mutex<Published>,
 }
 
 impl ConcurrentManager {
@@ -274,15 +281,11 @@ impl ConcurrentManager {
         let n = stripe_count(stripes);
         Ok(ConcurrentManager {
             stripes: n,
-            gate: RwLock::new(()),
-            h_members: RwLock::new(IdSet::new(dataset.len())),
-            have_hlist: AtomicBool::new(false),
-            effective_iv: RwLock::new(IdSlab::new()),
+            gate: RwLock::new(None),
             h_items: StripedMap::new(n),
-            h_heap: ShardedHeap::new(n),
             h_used: AtomicU64::new(0),
             h_capacity: AtomicU64::new(h_capacity.as_u64()),
-            admit: Mutex::new(()),
+            admit: Mutex::new(HHeap::new()),
             l_resident: StripedMap::new(n),
             l_fresh: FreshPool::new(n),
             l_used: AtomicU64::new(0),
@@ -293,15 +296,19 @@ impl ConcurrentManager {
                 fifo: VecDeque::new(),
                 pending: VecDeque::new(),
                 busy: SimTime::ZERO,
+                packages_built: 0,
+                package_bytes: 0,
             }),
             missed: Mutex::new(VecDeque::new()),
             stats: AtomicCacheStats::new(),
             epoch_h_accesses: AtomicU64::new(0),
             epoch_l_accesses: AtomicU64::new(0),
             own_contention: AtomicU64::new(0),
-            published_contention: AtomicU64::new(0),
-            obs: Mutex::new(Obs::noop()),
-            published: Mutex::new(CacheStats::default()),
+            published: Mutex::new(Published {
+                obs: Obs::noop(),
+                stats: CacheStats::default(),
+                contention: 0,
+            }),
             dataset: dataset.clone(),
             config,
         })
@@ -365,6 +372,7 @@ impl ConcurrentManager {
 
     fn fetch_h(
         &self,
+        hlist: &HList,
         id: SampleId,
         size: ByteSize,
         now: SimTime,
@@ -376,13 +384,7 @@ impl ConcurrentManager {
             return self.hit(id, size, now, FetchOutcome::HitH);
         }
         let fetch = self.storage_miss(id, size, now, storage);
-        let iv = self
-            .effective_iv
-            .read()
-            .expect("effective_iv lock poisoned: a writer panicked")
-            .get(id)
-            .copied()
-            .unwrap_or(ImportanceValue::ZERO);
+        let iv = hlist.importance(id).unwrap_or(ImportanceValue::ZERO);
         if !self.admit_h(id, size, iv) {
             AtomicCacheStats::bump(&self.stats.rejections);
         }
@@ -397,20 +399,20 @@ impl ConcurrentManager {
         if size.as_u64() > capacity {
             return false;
         }
-        let _adm = lock_counted(&self.admit, &self.own_contention);
+        let mut heap = lock_counted(&self.admit, &self.own_contention);
         if self.h_items.contains(id) {
             // Raced with another thread admitting the same id: refresh
             // its key, admission itself already happened.
-            self.h_heap.insert(id, iv);
+            heap.insert(id, iv);
             return true;
         }
         let needed = size.as_u64();
         let mut freed = 0u64;
         let mut popped: Vec<(SampleId, ImportanceValue, ByteSize)> = Vec::new();
         while self.h_used.load(Ordering::Relaxed).saturating_sub(freed) + needed > capacity {
-            match self.h_heap.peek_global_min() {
+            match heap.peek_min() {
                 Some((vid, viv)) if viv < iv => {
-                    self.h_heap.pop_global_min();
+                    heap.pop_min();
                     let vsize = self.h_items.get(vid).unwrap_or(ByteSize::ZERO);
                     freed += vsize.as_u64();
                     popped.push((vid, viv, vsize));
@@ -418,7 +420,7 @@ impl ConcurrentManager {
                 _ => {
                     // Cannot make room: restore provisional victims.
                     for (vid, viv, _) in popped {
-                        self.h_heap.insert(vid, viv);
+                        heap.insert(vid, viv);
                     }
                     return false;
                 }
@@ -430,7 +432,7 @@ impl ConcurrentManager {
             AtomicCacheStats::bump(&self.stats.evictions);
         }
         self.h_items.insert(id, size);
-        self.h_heap.insert(id, iv);
+        heap.insert(id, iv);
         self.h_used.fetch_add(needed, Ordering::Relaxed);
         AtomicCacheStats::bump(&self.stats.insertions);
         true
@@ -516,6 +518,8 @@ impl ConcurrentManager {
         if pkg.is_empty() {
             return;
         }
+        st.packages_built += 1;
+        st.package_bytes += pkg.total_bytes().as_u64();
         // lint: allow(locks-io): the loader guard IS the asynchronous loader's identity — read_package only schedules a virtual-time arrival (pending is drained on later ticks), it never blocks the calling trainer thread
         let ready = storage.read_package(pkg.total_bytes(), now);
         let pacing =
@@ -561,19 +565,22 @@ impl ConcurrentManager {
     /// registry is add-only); called under the write gate at epoch ends
     /// and by drivers after a replay completes.
     pub fn publish_obs(&self) {
-        let obs = self
-            .obs
-            .lock()
-            .expect("obs handle lock poisoned: a publisher panicked")
-            .clone();
+        let (packages_built, package_bytes) = {
+            let mut st = lock_counted(&self.loader, &self.own_contention);
+            (
+                std::mem::take(&mut st.packages_built),
+                std::mem::take(&mut st.package_bytes),
+            )
+        };
         let snap = self.stats.snapshot();
+        let contended = self.contended();
         let mut published = self
             .published
             .lock()
-            .expect("published-stats lock poisoned: a publisher panicked");
-        let delta = snap.delta_since(&published);
-        *published = snap;
-        drop(published);
+            .expect("published-state lock poisoned: a publisher panicked");
+        let obs = published.obs.clone();
+        let delta = snap.delta_since(&published.stats);
+        published.stats = snap;
         obs.add("cache.h_hits", delta.h_hits);
         obs.add("cache.l_hits", delta.l_hits);
         obs.add("cache.substitutions", delta.substitutions);
@@ -581,6 +588,14 @@ impl ConcurrentManager {
         obs.add("cache.insertions", delta.insertions);
         obs.add("cache.evictions", delta.evictions);
         obs.add("cache.rejections", delta.rejections);
+        obs.add("lcache.packages_built", packages_built);
+        obs.add("lcache.package_bytes", package_bytes);
+        obs.add(
+            "cache.lock_contention",
+            contended.saturating_sub(published.contention),
+        );
+        published.contention = contended;
+        drop(published);
         obs.set_gauge("cache.h_capacity", self.h_capacity().as_f64());
         obs.set_gauge("cache.l_capacity", self.l_capacity().as_f64());
         obs.set_gauge("cache.hit_ratio", snap.hit_ratio());
@@ -592,12 +607,6 @@ impl ConcurrentManager {
         obs.set_gauge(
             "cache.stripe.l_max_residents",
             self.l_resident.max_stripe_population() as f64,
-        );
-        let contended = self.contended();
-        let published_contention = self.published_contention.swap(contended, Ordering::Relaxed);
-        obs.add(
-            "cache.lock_contention",
-            contended.saturating_sub(published_contention),
         );
     }
 }
@@ -616,65 +625,41 @@ impl ConcurrentCache for ConcurrentManager {
         storage: &mut dyn StorageBackend,
         rng: &mut StdRng,
     ) -> Fetch {
-        let _gate = self
+        let gate = self
             .gate
             .read()
             .expect("epoch gate poisoned: a barrier holder panicked");
-        let have_hlist = self.have_hlist.load(Ordering::Relaxed);
-        let is_h = have_hlist
-            && self
-                .h_members
-                .read()
-                .expect("h_members lock poisoned: a writer panicked")
-                .contains(id);
-        let fetch = if is_h {
-            self.fetch_h(id, size, now, storage)
-        } else {
+        let fetch = match gate.as_ref() {
+            Some(hlist) if hlist.contains(id) => self.fetch_h(hlist, id, size, now, storage),
             // Before the first H-list (warm-up) everything is L-class
             // without substitution, as in the sequential manager.
-            self.fetch_l(id, size, now, storage, rng, have_hlist)
+            hlist => self.fetch_l(id, size, now, storage, rng, hlist.is_some()),
         };
         self.loader_tick(now, storage);
         fetch
     }
 
     fn update_hlist(&self, _job: JobId, hlist: &HList) {
-        let _barrier = self
+        let mut gate = self
             .gate
             .write()
             .expect("epoch gate poisoned: a barrier holder panicked");
-        let fresh: IdSlab<ImportanceValue> = hlist.entries().iter().map(|e| (e.id, e.iv)).collect();
-        let mut members = IdSet::new(self.dataset.len());
-        members.extend(fresh.keys());
+        lock_counted(&self.loader, &self.own_contention).l_pool = self
+            .dataset
+            .ids()
+            .filter(|&id| !hlist.contains(id))
+            .collect();
         // Re-key every resident H-sample to its fresh importance
         // (absent → zero: no longer an H-sample, prime eviction
         // candidate). The write barrier replaces the sequential shadow-
         // heap protocol: the rebuild is exclusive, so there is no fetch
         // traffic to keep serving mid-refresh.
-        self.h_heap.for_each_shard(|shard| {
-            let resident: Vec<SampleId> = shard.iter().map(|(id, _)| id).collect();
-            for id in resident {
-                let iv = fresh.get(id).copied().unwrap_or(ImportanceValue::ZERO);
-                shard.update_key(id, iv);
-            }
-        });
-        {
-            let mut st = lock_counted(&self.loader, &self.own_contention);
-            st.l_pool = self
-                .dataset
-                .ids()
-                .filter(|&id| !members.contains(id))
-                .collect();
+        let mut heap = lock_counted(&self.admit, &self.own_contention);
+        let resident: Vec<SampleId> = heap.iter().map(|(id, _)| id).collect();
+        for id in resident {
+            heap.update_key(id, hlist.importance(id).unwrap_or(ImportanceValue::ZERO));
         }
-        *self
-            .h_members
-            .write()
-            .expect("h_members lock poisoned: a writer panicked") = members;
-        *self
-            .effective_iv
-            .write()
-            .expect("effective_iv lock poisoned: a writer panicked") = fresh;
-        self.have_hlist.store(true, Ordering::Relaxed);
+        *gate = Some(hlist.clone());
     }
 
     fn on_epoch_start(&self, _job: JobId, _epoch: Epoch) {
@@ -688,25 +673,24 @@ impl ConcurrentCache for ConcurrentManager {
     }
 
     fn on_epoch_end(&self, _job: JobId, _epoch: Epoch) {
-        let _barrier = self
+        let barrier = self
             .gate
             .write()
             .expect("epoch gate poisoned: a barrier holder panicked");
         let h_acc = self.epoch_h_accesses.swap(0, Ordering::Relaxed);
         let l_acc = self.epoch_l_accesses.swap(0, Ordering::Relaxed);
         let total = h_acc + l_acc;
-        if total > 0 && self.config.enable_lcache && self.have_hlist.load(Ordering::Relaxed) {
+        if total > 0 && self.config.enable_lcache && barrier.is_some() {
             // Frequency-driven region re-balancing (§III-A).
             let h_cap = self
                 .config
                 .rebalanced_h_capacity(h_acc as f64 / total as f64);
             self.h_capacity.store(h_cap.as_u64(), Ordering::Relaxed);
             {
-                // Shrink H to fit: evict global minima (barrier is
-                // exclusive, the admit lock is taken for uniformity).
-                let _adm = lock_counted(&self.admit, &self.own_contention);
+                // Shrink H to fit: evict the heap's minima.
+                let mut heap = lock_counted(&self.admit, &self.own_contention);
                 while self.h_used.load(Ordering::Relaxed) > h_cap.as_u64() {
-                    let Some((vid, _)) = self.h_heap.pop_global_min() else {
+                    let Some((vid, _)) = heap.pop_min() else {
                         break;
                     };
                     let vsize = self.h_items.remove(vid).unwrap_or(ByteSize::ZERO);
@@ -723,10 +707,10 @@ impl ConcurrentCache for ConcurrentManager {
     }
 
     fn set_obs(&self, obs: Obs) {
-        *self
-            .obs
+        self.published
             .lock()
-            .expect("obs handle lock poisoned: a publisher panicked") = obs;
+            .expect("published-state lock poisoned: a publisher panicked")
+            .obs = obs;
         self.publish_obs();
     }
 
@@ -745,7 +729,6 @@ impl ConcurrentCache for ConcurrentManager {
     fn contended(&self) -> u64 {
         self.own_contention.load(Ordering::Relaxed)
             + self.h_items.contended()
-            + self.h_heap.contended()
             + self.l_resident.contended()
             + self.l_fresh.contended()
     }
@@ -917,9 +900,188 @@ mod tests {
         m.on_epoch_end(JobId(0), Epoch(0));
     }
 
+    /// Differential pin of the one-heap admission loop: the same
+    /// admission sequence offered to the sequential [`crate::HCache`]
+    /// (the Algorithm 1 reference) and to the concurrent manager evicts
+    /// the same victims at every step — under four-level importance
+    /// ties (victim choice rests on the `(importance, id)` tie-break),
+    /// variable sizes (multi-victim evictions and the
+    /// restore-provisional-victims path both run) and an H-list push
+    /// every 400 admissions that rotates the levels (re-keying).
+    #[test]
+    fn eviction_sequence_matches_hcache_under_importance_ties() {
+        use crate::{HCache, SampleData};
+        use rand::Rng;
+        let ds = DatasetBuilder::new("ties", 400)
+            .size_model(icache_types::SizeModel::LogNormal {
+                mu: 8.0,
+                sigma: 0.8,
+                min: ByteSize::new(512),
+                max: ByteSize::kib(24),
+            })
+            .build()
+            .expect("valid test dataset");
+        let mut cfg = IcacheConfig::for_dataset(&ds, 0.1).expect("valid test config");
+        cfg.enable_lcache = false;
+        let m = ConcurrentManager::new(cfg, &ds, 4).expect("valid test manager");
+        let mut reference = HCache::new(m.h_capacity());
+        let mut hl = HList::empty(ds.len());
+        let mut st = LocalTier::tmpfs();
+        let mut rng = StdRng::seed_from_u64(9);
+        let (mut evictions, mut rejections) = (0u64, 0u64);
+        for step in 0..4_000u64 {
+            if step % 400 == 0 {
+                let mut table = ImportanceTable::new(ds.len());
+                for i in 0..ds.len() {
+                    table.record_loss(SampleId(i), 1.0 + ((i + step / 400) % 4) as f64);
+                }
+                hl = HList::top_fraction(&table, 1.0);
+                m.update_hlist(JobId(0), &hl);
+                reference.begin_refresh(&hl.entries().iter().map(|e| (e.id, e.iv)).collect());
+                reference.finish_refresh();
+            }
+            let id = SampleId(rng.gen_range(0..ds.len()));
+            let size = ds.sample_size(id);
+            let before = m.h_items.sorted_ids();
+            let hit = m.fetch(JobId(0), id, size, SimTime::ZERO, &mut st, &mut rng);
+            assert_eq!(
+                hit.outcome == FetchOutcome::HitH,
+                reference.contains(id),
+                "step {step}: residency of {id} diverged"
+            );
+            if hit.outcome == FetchOutcome::HitH {
+                continue;
+            }
+            let iv = hl.importance(id).expect("every id is on the H-list");
+            let admit = reference.admit(SampleData::generate(id, size), iv);
+            let after = m.h_items.sorted_ids();
+            let mut evicted: Vec<SampleId> = before
+                .into_iter()
+                .filter(|v| after.binary_search(v).is_err())
+                .collect();
+            let mut expected = admit.evicted.clone();
+            evicted.sort_unstable();
+            expected.sort_unstable();
+            assert_eq!(evicted, expected, "step {step}: victims of admitting {id}");
+            assert_eq!(m.h_items.contains(id), admit.admitted, "step {step}");
+            evictions += expected.len() as u64;
+            rejections += u64::from(!admit.admitted);
+        }
+        assert!(
+            evictions > 500 && rejections > 500,
+            "both paths exercised: {evictions} evictions, {rejections} rejections"
+        );
+        let s = m.stats();
+        assert_eq!((s.evictions, s.rejections), (evictions, rejections));
+        assert_eq!(m.h_len(), reference.len());
+        assert_eq!(m.h_used.load(Ordering::Relaxed), reference.used().as_u64());
+        assert!(self_check(&m));
+    }
+
+    /// Four threads race admissions into an H-region of a dozen
+    /// samples, released together by a barrier so the admit lock is
+    /// contended from the first fetch. Whatever the interleaving, the
+    /// heap and the resident map describe the same set and the byte and
+    /// counter books balance.
+    #[test]
+    fn racing_admissions_keep_heap_residents_and_bytes_in_step() {
+        let ds = tiny_dataset();
+        let mut cfg = IcacheConfig::for_dataset(&ds, 0.2).expect("valid test config");
+        cfg.enable_lcache = false;
+        cfg.capacity = ds.sample_size(SampleId(0)) * 12;
+        let m = ConcurrentManager::new(cfg, &ds, 4).expect("valid test manager");
+        m.update_hlist(JobId(0), &hlist(&ds, 1_000, 1.0));
+        let threads = 4;
+        let start = std::sync::Barrier::new(threads);
+        std::thread::scope(|scope| {
+            for t in 0..threads {
+                let (m, ds, start) = (&m, &ds, &start);
+                scope.spawn(move || {
+                    let mut st = LocalTier::tmpfs();
+                    let mut rng = SeedSequence::new(7).rng(&format!("racer{t}"));
+                    start.wait();
+                    for k in 0..2_000u64 {
+                        // Overlapping strides: threads collide on ids
+                        // (the raced-same-id branch) and on victims.
+                        let id = SampleId((k * 7 + t as u64 * 3) % 1_000);
+                        m.fetch(
+                            JobId(0),
+                            id,
+                            ds.sample_size(id),
+                            SimTime::ZERO,
+                            &mut st,
+                            &mut rng,
+                        );
+                    }
+                });
+            }
+        });
+        let heap = m.admit.lock().expect("no racer panicked");
+        assert!(heap.check_invariants());
+        assert_eq!(heap.len(), m.h_len(), "heap and resident map agree");
+        let mut resident_bytes = 0u64;
+        m.h_items.for_each(|id, size| {
+            assert!(heap.contains(id), "{id} resident but not in the heap");
+            resident_bytes += size.as_u64();
+        });
+        assert_eq!(m.h_used.load(Ordering::Relaxed), resident_bytes);
+        assert!(resident_bytes <= m.h_capacity().as_u64());
+        let s = m.stats();
+        assert!(
+            s.evictions > 0,
+            "the region is far smaller than the id range"
+        );
+        assert_eq!(s.insertions - s.evictions, m.h_len() as u64);
+        assert_eq!(s.requests(), threads as u64 * 2_000);
+    }
+
+    /// The concurrent path reports the L-region loader's packages like
+    /// the sequential manager does: every built package is one
+    /// `read_package` on some loader thread's storage handle, so the
+    /// published byte counter equals the sum of the threads' storage
+    /// stats.
+    #[test]
+    fn two_thread_replay_publishes_package_metrics() {
+        let ds = tiny_dataset();
+        let m = manager(&ds, 0.2, 4);
+        let obs = Obs::new();
+        m.set_obs(obs.clone());
+        m.update_hlist(JobId(0), &hlist(&ds, 100, 0.1));
+        m.on_epoch_start(JobId(0), Epoch(0));
+        let package_bytes: u64 = std::thread::scope(|scope| {
+            let loaders: Vec<_> = (0..2u64)
+                .map(|t| {
+                    let (m, ds) = (&m, &ds);
+                    scope.spawn(move || {
+                        let mut st = LocalTier::tmpfs();
+                        let mut rng = SeedSequence::new(5).rng(&format!("loader{t}"));
+                        let mut now = SimTime::ZERO;
+                        for k in 0..1_500u64 {
+                            let id = SampleId((k * 2 + t) % 1_000);
+                            now = m
+                                .fetch(JobId(0), id, ds.sample_size(id), now, &mut st, &mut rng)
+                                .ready_at;
+                        }
+                        st.stats().package_bytes.as_u64()
+                    })
+                })
+                .collect();
+            loaders
+                .into_iter()
+                .map(|h| h.join().expect("loader thread panicked"))
+                .sum()
+        });
+        m.on_epoch_end(JobId(0), Epoch(0));
+        assert!(obs.counter("lcache.packages_built") > 0);
+        assert_eq!(obs.counter("lcache.package_bytes"), package_bytes);
+        // Deltas, not totals: a second publish adds nothing.
+        m.publish_obs();
+        assert_eq!(obs.counter("lcache.package_bytes"), package_bytes);
+    }
+
     fn self_check(m: &ConcurrentManager) -> bool {
         m.h_items.check_invariants()
-            && m.h_heap.check_invariants()
+            && m.admit.lock().unwrap().check_invariants()
             && m.l_resident.check_invariants()
             && m.l_fresh.check_invariants()
     }

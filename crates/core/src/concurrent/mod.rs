@@ -13,15 +13,16 @@
 //!   membership and the substitution fresh-pool are split across
 //!   `stripes` locks keyed by `SampleId` (stripe = `id & (stripes-1)`);
 //!   ids are contiguous, so adjacent samples land on different stripes.
-//! * **Sharded H-heap** ([`ShardedHeap`]): one indexed min-heap per
-//!   stripe; eviction takes every shard lock in ascending index order
-//!   and merges the per-shard minima deterministically (lowest
-//!   `(importance, id)` wins).
+//! * **One H-heap under the admit lock**: Algorithm 1's
+//!   evict-or-restore loop is serial, so the paper's single small-top
+//!   heap ([`crate::HHeap`], lowest `(importance, id)` first) lives
+//!   inside the mutex that serialises admissions.
 //! * **Atomic counters** ([`AtomicCacheStats`]): hit/miss/substitution
 //!   counting never serializes readers.
 //! * **Epoch write barrier**: fetches hold a [`std::sync::RwLock`] read
 //!   guard; epoch-boundary operations (rebalance, fresh-pool rebuild,
-//!   H-list refresh) take the write guard and run stop-the-world.
+//!   H-list refresh) take the write guard and run stop-the-world. The
+//!   lock's payload is the current H-list, read by every fetch.
 //! * **`workers == 1` short-circuit**: drivers must route
 //!   single-threaded runs through the sequential manager so golden
 //!   outputs stay byte-identical; [`MutexCache`] exists to wrap any
@@ -29,12 +30,10 @@
 //!   multi-threaded comparison runs.
 
 mod manager;
-mod sharded_heap;
 mod stats;
 mod striped;
 
 pub use manager::{ConcurrentCache, ConcurrentManager, MutexCache};
-pub use sharded_heap::ShardedHeap;
 pub use stats::AtomicCacheStats;
 pub use striped::{FreshPool, StripedMap};
 

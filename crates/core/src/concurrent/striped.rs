@@ -170,7 +170,7 @@ struct FreshStripe {
     /// Un-accessed resident ids with O(1) random removal.
     fresh: Vec<SampleId>,
     /// local id → index into `fresh` (the position-map invariant the
-    /// loom model tests pin: `fresh[pos[local(id)]] == id` for every
+    /// stress tests pin: `fresh[pos[local(id)]] == id` for every
     /// entry). Keyed by `id >> shift` so the slab stays dense.
     pos: IdSlab<usize>,
     /// The pool's stripe-count shift, for local-key computation.

@@ -30,9 +30,9 @@
 //!   [`CacheSystem::update_hlist`].
 //! * [`concurrent`] — the lock-striped in-node cache
 //!   ([`ConcurrentManager`]): one node serving many data-loader threads
-//!   concurrently via striped resident maps, a sharded H-heap with a
-//!   deterministic cross-shard eviction merge, atomic counters, and an
-//!   epoch write barrier (DESIGN.md §8).
+//!   concurrently via striped resident maps, one H-heap under the
+//!   admission lock, atomic counters, and an epoch write barrier that
+//!   carries the H-list (DESIGN.md §8).
 //! * [`prefetch`] — the clairvoyant prefetch pipeline
 //!   ([`PrefetchPipeline`]): since IIS/CIS fix the epoch's access order
 //!   in advance, a bounded lookahead window overlaps storage fetches
@@ -88,8 +88,7 @@ mod system;
 mod victim;
 
 pub use concurrent::{
-    AtomicCacheStats, ConcurrentCache, ConcurrentManager, FreshPool, MutexCache, ShardedHeap,
-    StripedMap,
+    AtomicCacheStats, ConcurrentCache, ConcurrentManager, FreshPool, MutexCache, StripedMap,
 };
 pub use data::SampleData;
 pub use dense::{IdSet, IdSlab};

@@ -761,13 +761,13 @@ impl CacheSystem for IcacheManager {
         // Before the first H-list arrives (the warm-up epoch) there is no
         // importance information: serve as a plain pass-through + fill,
         // without substitution — warm-up must remain a clean full pass.
-        let have_hlist = self.coordinator.hlist(job).is_some();
+        let warmed_up = self.coordinator.hlist(job).is_some();
         let is_h = self.coordinator.hlist(job).is_some_and(|h| h.contains(id));
         let before = self.stats;
         let fetch = if is_h {
             self.fetch_h(job, id, size, now, storage)
         } else {
-            self.fetch_l(job, id, size, now, storage, have_hlist)
+            self.fetch_l(job, id, size, now, storage, warmed_up)
         };
         self.obs
             .observe("cache.fetch", fetch.ready_at.saturating_since(now));

@@ -7,8 +7,8 @@
 //! applied to iCache's two-region design. The module has two layers:
 //!
 //! * [`InflightWindow`] — the bounded back-pressure window: at most
-//!   `depth` fetches in flight, no position delivered twice. Small and
-//!   thread-safe so it can be model-checked under loom.
+//!   `depth` fetches in flight, no position delivered twice. Plain
+//!   state owned by the pipeline.
 //! * [`PrefetchPipeline`] — the deterministic scheduler: plan-order
 //!   fetches issue through the usual [`crate::CacheSystem`] the moment
 //!   a window slot frees (so up to `depth` storage reads overlap in

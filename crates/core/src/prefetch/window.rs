@@ -3,17 +3,32 @@
 //! The window is the back-pressure contract of the prefetch pipeline
 //! (DESIGN.md §11): at most `depth` plan positions may be *in flight* —
 //! issued to storage but not yet delivered to the consumer — at any
-//! instant, and no position may be delivered twice. The type is
-//! thread-safe so the same invariants can be model-checked under racing
-//! producer/consumer threads (`crates/core/tests/loom_model.rs`); the
-//! deterministic [`crate::prefetch::PrefetchPipeline`] drives it from a
-//! single thread.
+//! instant, and no position may be delivered twice. The window is
+//! plain single-owner state: the deterministic
+//! [`crate::prefetch::PrefetchPipeline`] owns it and drives it through
+//! `&mut self`, so it carries no lock. Its invariants are pinned by the
+//! unit tests below and by the window proptest in `tests/properties.rs`.
 
 use std::collections::BTreeSet;
-use std::sync::Mutex;
 
+/// A bounded window of in-flight prefetches keyed by plan position.
+///
+/// # Examples
+///
+/// ```
+/// use icache_core::prefetch::InflightWindow;
+///
+/// let mut w = InflightWindow::new(2);
+/// assert!(w.try_issue(0) && w.try_issue(1));
+/// assert!(!w.try_issue(2), "window of 2 is full");
+/// assert!(w.consume(0), "first delivery succeeds");
+/// assert!(!w.consume(0), "never deliver a position twice");
+/// assert!(w.try_issue(2), "consuming freed a slot");
+/// assert!(w.check_invariants());
+/// ```
 #[derive(Debug, Default)]
-struct WindowState {
+pub struct InflightWindow {
+    depth: usize,
     /// Positions issued and not yet delivered.
     in_flight: BTreeSet<u64>,
     /// Positions delivered to the consumer (each exactly once).
@@ -26,34 +41,13 @@ struct WindowState {
     consumed: u64,
 }
 
-/// A bounded window of in-flight prefetches keyed by plan position.
-///
-/// # Examples
-///
-/// ```
-/// use icache_core::prefetch::InflightWindow;
-///
-/// let w = InflightWindow::new(2);
-/// assert!(w.try_issue(0) && w.try_issue(1));
-/// assert!(!w.try_issue(2), "window of 2 is full");
-/// assert!(w.consume(0), "first delivery succeeds");
-/// assert!(!w.consume(0), "never deliver a position twice");
-/// assert!(w.try_issue(2), "consuming freed a slot");
-/// assert!(w.check_invariants());
-/// ```
-#[derive(Debug)]
-pub struct InflightWindow {
-    depth: usize,
-    state: Mutex<WindowState>,
-}
-
 impl InflightWindow {
     /// A window admitting at most `depth` outstanding positions
     /// (`depth == 0` admits nothing — the disabled pipeline).
     pub fn new(depth: usize) -> Self {
         InflightWindow {
             depth,
-            state: Mutex::new(WindowState::default()),
+            ..Default::default()
         }
     }
 
@@ -62,71 +56,61 @@ impl InflightWindow {
         self.depth
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, WindowState> {
-        // A poisoned lock means a racing thread panicked mid-update; the
-        // window's sets are still structurally sound, so keep going and
-        // let `check_invariants` judge the state.
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     /// Try to admit `position` into the window. Returns `false` when the
     /// window is full or the position was already issued or delivered —
     /// the caller must retry after a delivery frees a slot.
-    pub fn try_issue(&self, position: u64) -> bool {
-        let mut s = self.lock();
-        if s.in_flight.len() >= self.depth
-            || s.delivered.contains(&position)
-            || !s.in_flight.insert(position)
+    pub fn try_issue(&mut self, position: u64) -> bool {
+        if self.in_flight.len() >= self.depth
+            || self.delivered.contains(&position)
+            || !self.in_flight.insert(position)
         {
             return false;
         }
-        s.issued += 1;
-        s.max_in_flight = s.max_in_flight.max(s.in_flight.len());
+        self.issued += 1;
+        self.max_in_flight = self.max_in_flight.max(self.in_flight.len());
         true
     }
 
     /// Deliver `position` to the consumer, freeing its window slot.
     /// Returns `false` when the position is not in flight or was already
     /// delivered — a second delivery of the same position never succeeds.
-    pub fn consume(&self, position: u64) -> bool {
-        let mut s = self.lock();
-        if !s.in_flight.remove(&position) || !s.delivered.insert(position) {
+    pub fn consume(&mut self, position: u64) -> bool {
+        if !self.in_flight.remove(&position) || !self.delivered.insert(position) {
             return false;
         }
-        s.consumed += 1;
+        self.consumed += 1;
         true
     }
 
     /// Positions currently in flight.
     pub fn in_flight(&self) -> usize {
-        self.lock().in_flight.len()
+        self.in_flight.len()
     }
 
     /// The largest number of positions ever simultaneously in flight.
     pub fn max_in_flight(&self) -> usize {
-        self.lock().max_in_flight
+        self.max_in_flight
     }
 
     /// Total issues admitted over the window's lifetime.
     pub fn issued(&self) -> u64 {
-        self.lock().issued
+        self.issued
     }
 
     /// Total positions delivered.
     pub fn consumed(&self) -> u64 {
-        self.lock().consumed
+        self.consumed
     }
 
     /// Structural invariants: the in-flight population never exceeded
     /// `depth`, no position is both in flight and delivered, and the
     /// counters agree with the sets.
     pub fn check_invariants(&self) -> bool {
-        let s = self.lock();
-        s.max_in_flight <= self.depth
-            && s.in_flight.len() <= self.depth
-            && s.in_flight.is_disjoint(&s.delivered)
-            && s.issued == s.consumed + s.in_flight.len() as u64
-            && s.consumed == s.delivered.len() as u64
+        self.max_in_flight <= self.depth
+            && self.in_flight.len() <= self.depth
+            && self.in_flight.is_disjoint(&self.delivered)
+            && self.issued == self.consumed + self.in_flight.len() as u64
+            && self.consumed == self.delivered.len() as u64
     }
 }
 
@@ -136,7 +120,7 @@ mod tests {
 
     #[test]
     fn window_bounds_in_flight_population() {
-        let w = InflightWindow::new(3);
+        let mut w = InflightWindow::new(3);
         for p in 0..3u64 {
             assert!(w.try_issue(p), "slot {p} free");
         }
@@ -150,7 +134,7 @@ mod tests {
 
     #[test]
     fn no_position_is_delivered_twice_or_reissued() {
-        let w = InflightWindow::new(2);
+        let mut w = InflightWindow::new(2);
         assert!(w.try_issue(7));
         assert!(!w.try_issue(7), "double issue refused");
         assert!(w.consume(7));
@@ -164,7 +148,7 @@ mod tests {
 
     #[test]
     fn zero_depth_admits_nothing() {
-        let w = InflightWindow::new(0);
+        let mut w = InflightWindow::new(0);
         assert!(!w.try_issue(0));
         assert_eq!(w.in_flight(), 0);
         assert!(w.check_invariants());

@@ -69,10 +69,6 @@ pub struct ServiceConfig {
     /// boundary — a node killed mid-epoch would restart from a view one
     /// full epoch stale.
     pub index_interval: Option<SimDuration>,
-    /// Keep service-plane metrics (`svc.*`) and events out of the
-    /// shared registry. Plain `--nodes N` runs set this (their golden
-    /// summary predates the service plane); churn runs leave it off.
-    pub quiet_service_plane: bool,
 }
 
 impl ServiceConfig {
@@ -107,16 +103,7 @@ impl ServiceConfig {
             recovery: RecoveryMode::Disabled,
             recovery_bandwidth: 2e9,
             index_interval: None,
-            quiet_service_plane: false,
         })
-    }
-
-    /// Keep service-plane metrics out of the shared registry: what a
-    /// plain `--nodes N` run uses, so its summary carries only the
-    /// `dist.*` and `cache.*` names.
-    pub fn quiet(mut self) -> Self {
-        self.quiet_service_plane = true;
-        self
     }
 
     /// Enable the churn machinery: default failure detector and an
@@ -125,7 +112,6 @@ impl ServiceConfig {
         self.heartbeat = Some(HeartbeatConfig::default());
         self.recovery = RecoveryMode::Memory;
         self.index_interval = Some(SimDuration::from_millis(50));
-        self.quiet_service_plane = false;
         self
     }
 }
@@ -191,7 +177,6 @@ pub struct CacheService {
     /// loop's per-epoch deltas must never go backwards.
     lost_stats: CacheStats,
     obs: Obs,
-    svc_obs: Obs,
 }
 
 impl CacheService {
@@ -239,7 +224,6 @@ impl CacheService {
             remote_bytes: ByteSize::ZERO,
             lost_stats: CacheStats::default(),
             obs: Obs::noop(),
-            svc_obs: Obs::noop(),
             dataset: dataset.clone(),
             config,
         })
@@ -336,7 +320,7 @@ impl CacheService {
         }
         self.clock = self.clock.max(now);
         self.retire_manager(i);
-        self.svc_obs.inc("svc.kills");
+        self.obs.inc("svc.kills");
         if self.config.heartbeat.is_some() {
             self.membership.crash(node);
         } else if self.membership.leave(node) {
@@ -399,14 +383,14 @@ impl CacheService {
         self.nodes[i].crashed = false;
         self.next_heartbeat[i] = self.clock;
         self.next_index_write[i] = self.clock;
-        self.svc_obs.inc("svc.rejoins");
+        self.obs.inc("svc.rejoins");
         if self.membership.rejoin(node, self.clock) {
             self.repartition();
         }
         if warm {
             self.warm_restore(node);
         } else {
-            self.svc_obs.inc("svc.recovery.cold_restarts");
+            self.obs.inc("svc.recovery.cold_restarts");
         }
         Ok(())
     }
@@ -426,7 +410,7 @@ impl CacheService {
     ) -> (CacheRpcReply, SimTime) {
         self.clock = self.clock.max(now);
         if self.nodes[to.0 as usize].crashed {
-            self.svc_obs.inc("svc.rpc_timeouts");
+            self.obs.inc("svc.rpc_timeouts");
             return (CacheRpcReply::TimedOut, now + self.rpc_timeout());
         }
         let delivered = self.net.express(from, to, rpc, now);
@@ -503,7 +487,7 @@ impl CacheService {
             // Crashed home node: the client reads storage directly and
             // caches nothing.
             _ => {
-                self.svc_obs.inc("svc.dead_node_fetches");
+                self.obs.inc("svc.dead_node_fetches");
                 Fetch {
                     ready_at: storage.read_sample(id, size, now),
                     served_id: id,
@@ -632,7 +616,7 @@ impl CacheService {
                         },
                         at,
                     );
-                    self.svc_obs.inc("svc.heartbeats_sent");
+                    self.obs.inc("svc.heartbeats_sent");
                     self.next_heartbeat[i] = at + hb.interval;
                 }
             }
@@ -681,7 +665,7 @@ impl CacheService {
             self.nodes[new_shard.0 as usize].shard.adopt(s, owner);
             if new_shard != old_shard {
                 moved += 1;
-                self.svc_obs.emit(TraceEvent::DirectoryRemap {
+                self.obs.emit(TraceEvent::DirectoryRemap {
                     sample: s.0,
                     from_node: old_shard.0 as u64,
                     to_node: new_shard.0 as u64,
@@ -691,9 +675,9 @@ impl CacheService {
         if purged > 0 {
             self.obs.add("dist.directory.removes", purged);
         }
-        self.svc_obs.add("svc.repartition.moved", moved);
-        self.svc_obs.add("svc.repartition.purged", purged);
-        self.svc_obs.emit(TraceEvent::PartitionUpdate {
+        self.obs.add("svc.repartition.moved", moved);
+        self.obs.add("svc.repartition.purged", purged);
+        self.obs.emit(TraceEvent::PartitionUpdate {
             version,
             live: live.len() as u64,
             moved,
@@ -705,7 +689,7 @@ impl CacheService {
     /// skipping samples another live node owns by now (no duplication).
     fn warm_restore(&mut self, node: NodeId) {
         let Some(index) = self.recovery.load(node) else {
-            self.svc_obs.inc("svc.recovery.cold_restarts");
+            self.obs.inc("svc.recovery.cold_restarts");
             return;
         };
         let i = node.0 as usize;
@@ -729,11 +713,11 @@ impl CacheService {
             let shard = self.partitioner.owner(*id);
             self.nodes[shard.0 as usize].shard.insert(*id, node);
         }
-        self.svc_obs.inc("svc.recovery.warm_restarts");
-        self.svc_obs.add("svc.recovery.restored_samples", h + l);
-        self.svc_obs.add("svc.recovery.skipped", skipped);
-        self.svc_obs.add("svc.recovery.bytes", bytes.as_u64());
-        self.svc_obs.emit(TraceEvent::WarmRecovery {
+        self.obs.inc("svc.recovery.warm_restarts");
+        self.obs.add("svc.recovery.restored_samples", h + l);
+        self.obs.add("svc.recovery.skipped", skipped);
+        self.obs.add("svc.recovery.bytes", bytes.as_u64());
+        self.obs.emit(TraceEvent::WarmRecovery {
             node: node.0 as u64,
             restored_h: h,
             restored_l: l,
@@ -755,7 +739,7 @@ impl CacheService {
             entries: manager.residency_snapshot(),
         };
         if self.recovery.save(&index).is_ok() {
-            self.svc_obs.inc("svc.recovery.index_writes");
+            self.obs.inc("svc.recovery.index_writes");
         }
     }
 
@@ -807,7 +791,7 @@ impl CacheService {
                 }
                 ChurnEvent::Rejoin { node, warm, .. } => {
                     if self.rejoin_node(node, self.clock, warm).is_err() {
-                        self.svc_obs.inc("svc.rejoin_failures");
+                        self.obs.inc("svc.rejoin_failures");
                     }
                 }
             }
@@ -827,18 +811,9 @@ impl Observable for CacheService {
             node.shard.set_obs(obs.clone());
         }
         obs.set_gauge("dist.nodes", self.nodes.len() as f64);
-        self.obs = obs.clone();
-        // The service plane (net, membership, recovery, churn) records
-        // separately so a quiet configuration can keep it out of
-        // golden snapshots.
-        let svc = if self.config.quiet_service_plane {
-            Obs::noop()
-        } else {
-            obs
-        };
-        self.net.set_obs(svc.clone());
-        self.membership.set_obs(svc.clone());
-        self.svc_obs = svc;
+        self.net.set_obs(obs.clone());
+        self.membership.set_obs(obs.clone());
+        self.obs = obs;
     }
 }
 
@@ -895,10 +870,10 @@ impl CacheSystem for CacheService {
                         let remote_ready =
                             t_remote + self.net.data_link(owner_id, me).transfer_time(bytes);
                         if remote_ready <= hedged.ready_at {
-                            self.svc_obs.inc("svc.race.remote_wins");
+                            self.obs.inc("svc.race.remote_wins");
                             return self.serve_remote(local, owner_id, job, id, bytes, t_remote);
                         }
-                        self.svc_obs.inc("svc.race.storage_wins");
+                        self.obs.inc("svc.race.storage_wins");
                         self.obs.inc(&self.nodes[local].keys.storage_fetches);
                         return hedged;
                     }
@@ -1019,7 +994,7 @@ mod tests {
     }
 
     fn cluster(ds: &Dataset, nodes: usize) -> CacheService {
-        let config = ServiceConfig::for_dataset(ds, nodes, 0.2).unwrap().quiet();
+        let config = ServiceConfig::for_dataset(ds, nodes, 0.2).unwrap();
         CacheService::new(config, ds).unwrap()
     }
 
@@ -1130,9 +1105,10 @@ mod tests {
             obs.trace_event_counts().into_iter().collect();
         assert_eq!(counts.get("remote_hit"), Some(&1));
 
-        // A quiet configuration keeps the service plane silent: no
-        // svc.* counters leak into the shared registry.
-        assert_eq!(obs.counter("svc.net.sent"), 0);
+        // The service plane records into the same registry: the
+        // directory and peer RPCs crossed the net, and static
+        // membership sent no heartbeats.
+        assert!(obs.counter("svc.net.sent") > 0);
         assert_eq!(obs.counter("svc.heartbeats_sent"), 0);
     }
 

@@ -6,7 +6,7 @@
 //!
 //! - `self.m(…)` — a method of the enclosing `impl` type;
 //! - `self.field.m(…)` — resolved through the field's declared type
-//!   base name (e.g. `h_heap: ShardedHeap<…>` → `ShardedHeap::m`);
+//!   base name (e.g. `h_items: StripedMap<…>` → `StripedMap::m`);
 //! - `Type::m(…)` / `Self::m(…)` — methods of that type;
 //! - `free(…)` — free functions, preferring the same file, falling back
 //!   to a workspace-unique name;

@@ -39,9 +39,6 @@ pub struct Config {
     /// this list. Empty disables the declared-order checks (cycle and
     /// I/O checks still run).
     pub lock_order: Vec<String>,
-    /// Lock classes allowed to self-nest (e.g. all-shards-ascending
-    /// acquisition): `(lock, reason)`.
-    pub lock_classes: Vec<(String, String)>,
     /// Locks allowed to be held across blocking calls: `(lock, reason)`.
     pub lock_io_exempt: Vec<(String, String)>,
     /// Free functions that acquire the lock passed as their first
@@ -73,7 +70,6 @@ impl Default for Config {
             event_source: "crates/obs/src/trace.rs".to_string(),
             min_expect_message: 8,
             lock_order: Vec::new(),
-            lock_classes: Vec::new(),
             lock_io_exempt: Vec::new(),
             lock_wrappers: vec!["lock_counted".to_string()],
             lock_blocking: vec![
@@ -118,9 +114,6 @@ impl Config {
                         cfg.event_source = value.clone().into_string()?
                     }
                     ("locks", "order") => cfg.lock_order = value.clone().into_array()?,
-                    ("locks", "classes") => {
-                        cfg.lock_classes = split_allow_entries(value.clone().into_array()?)?
-                    }
                     ("locks", "io_exempt") => {
                         cfg.lock_io_exempt = split_allow_entries(value.clone().into_array()?)?
                     }
@@ -318,7 +311,6 @@ design = "DOC.md"
             r#"
 [locks]
 order = ["M.gate", "M.admit"]
-classes = ["H.shards: all-shards ascending"]
 io_exempt = ["M.gate: read barrier by design"]
 wrappers = ["lock_counted"]
 blocking = ["read_sample", "recv"]
@@ -326,10 +318,6 @@ blocking = ["read_sample", "recv"]
         )
         .unwrap();
         assert_eq!(c.lock_order, vec!["M.gate", "M.admit"]);
-        assert_eq!(
-            c.lock_classes,
-            vec![("H.shards".into(), "all-shards ascending".into())]
-        );
         assert_eq!(c.lock_io_exempt.len(), 1);
         assert_eq!(c.lock_blocking, vec!["read_sample", "recv"]);
     }

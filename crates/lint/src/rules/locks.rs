@@ -16,9 +16,7 @@
 //!   the two escape valves, and both are staleness-tracked.
 //! - `locks-guard` — guard hygiene: a guard bound to `_` (dropped
 //!   immediately — almost always a bug), and re-acquiring a lock that
-//!   is already held in scope (instant deadlock for a `Mutex`) unless
-//!   the lock is in a declared self-nesting class (`[locks] classes`,
-//!   e.g. all-shards-ascending merges).
+//!   is already held in scope (instant deadlock for a `Mutex`).
 //!
 //! Analysis is deliberately under-approximating (see `callgraph.rs`):
 //! an unresolved call contributes nothing, so every reported edge has a
@@ -218,7 +216,6 @@ pub fn check(
     }
 
     // Pass 4: nesting edges, re-lock hygiene, and blocking-under-guard.
-    let class_locks: BTreeSet<&str> = cfg.lock_classes.iter().map(|(l, _)| l.as_str()).collect();
     let exempt_locks: BTreeSet<&str> = cfg.lock_io_exempt.iter().map(|(l, _)| l.as_str()).collect();
     let mut edges: BTreeMap<(String, String), EdgeInfo> = BTreeMap::new();
     let mut seen: BTreeSet<String> = BTreeSet::new();
@@ -246,7 +243,7 @@ pub fn check(
                     continue;
                 }
                 if b.lock == a.lock {
-                    if class_locks.contains(a.lock.as_str()) || file.allowed(RULE_GUARD, b.line) {
+                    if file.allowed(RULE_GUARD, b.line) {
                         continue;
                     }
                     out.push(Finding {
@@ -256,8 +253,7 @@ pub fn check(
                         col: b.col,
                         message: format!(
                             "lock `{}` re-acquired while its guard from line {} is still \
-                             live — instant deadlock for a Mutex; drop the first guard or \
-                             declare the lock in [locks] classes",
+                             live — instant deadlock for a Mutex; drop the first guard",
                             a.lock, a.line
                         ),
                     });
@@ -283,9 +279,7 @@ pub fn check(
                 if let Some(t) = c.target {
                     for l in &closure[t] {
                         if *l == a.lock {
-                            if class_locks.contains(a.lock.as_str())
-                                || file.allowed(RULE_GUARD, c.line)
-                            {
+                            if file.allowed(RULE_GUARD, c.line) {
                                 continue;
                             }
                             out.push(Finding {
@@ -452,7 +446,6 @@ pub fn check(
         &edges,
         &cycles,
         blocking_json,
-        &class_locks,
         &exempt_locks,
     );
     Analysis {
@@ -957,7 +950,6 @@ fn build_graph_json(
     edges: &BTreeMap<(String, String), EdgeInfo>,
     cycles: &[Vec<String>],
     blocking: Vec<Json>,
-    class_locks: &BTreeSet<&str>,
     exempt_locks: &BTreeSet<&str>,
 ) -> Json {
     let rank: BTreeMap<&str, usize> = cfg
@@ -980,7 +972,6 @@ fn build_graph_json(
                         .map(|r| Json::UInt(*r as u64))
                         .unwrap_or(Json::Null),
                 ),
-                ("class".to_string(), Json::Bool(class_locks.contains(name))),
                 (
                     "io_exempt".to_string(),
                     Json::Bool(exempt_locks.contains(name)),
@@ -1122,7 +1113,7 @@ mod tests {
     }
 
     #[test]
-    fn relock_is_guard_finding_unless_classed() {
+    fn relock_is_guard_finding() {
         let src = "struct S { a: Mutex<u32> }\n\
                    impl S { fn f(&self) { let g = self.a.lock().expect(\"poisoned in fixture\"); \
                    let h = self.a.lock().expect(\"poisoned in fixture\"); touch(g, h); } }\n";
@@ -1132,12 +1123,6 @@ mod tests {
             1,
             "{out:?}"
         );
-        let cfg = Config {
-            lock_classes: vec![("S.a".to_string(), "ascending shard order".to_string())],
-            ..Config::default()
-        };
-        let (out2, _) = run_with(&[("a.rs", src)], &cfg);
-        assert!(out2.is_empty(), "{out2:?}");
     }
 
     #[test]
@@ -1185,18 +1170,21 @@ mod tests {
     fn wrapper_call_names_the_striped_field() {
         let src = "struct S { stripes: Box<[Mutex<u32>]> }\n\
                    fn lock_counted(m: &Mutex<u32>, c: &u32) -> u32 { 0 }\n\
-                   impl S { fn f(&self) { let g = lock_counted(&self.stripes[3], &0); \
-                   let h = self.stripes[4].lock().expect(\"poisoned in fixture\"); touch(g, h); } }\n";
-        let cfg = Config {
-            lock_classes: vec![(
-                "S.stripes".to_string(),
-                "ascending stripe order".to_string(),
-            )],
-            ..Config::default()
-        };
-        let (out, an) = run_with(&[("a.rs", src)], &cfg);
+                   impl S { fn f(&self) { let g = lock_counted(&self.stripes[3], &0); touch(g); drop(g); \
+                   let h = self.stripes[4].lock().expect(\"poisoned in fixture\"); touch(h); } }\n";
+        let (out, an) = run(src);
         assert!(out.is_empty(), "{out:?}");
         assert!(an.seen.contains("S.stripes"), "{:?}", an.seen);
+        let nodes = an.graph["nodes"].as_array().expect("nodes array present");
+        let stripes = nodes
+            .iter()
+            .find(|n| n["name"].as_str() == Some("S.stripes"))
+            .expect("S.stripes node present");
+        assert_eq!(
+            stripes["sites"].as_u64(),
+            Some(2),
+            "wrapper and .lock() sites"
+        );
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Stale-suppression detection: every escape valve must still be
 //! earning its keep. An inline `// lint: allow(rule)` hatch that no
 //! longer matches a would-be finding, or a `lint.toml` allow entry
-//! (determinism/panic file allows, `[locks]` io-exemptions and
-//! self-nesting classes) that suppresses nothing, is itself a finding —
-//! suppressions rot into blind spots otherwise.
+//! (determinism/panic file allows, `[locks]` io-exemptions) that
+//! suppresses nothing, is itself a finding — suppressions rot into
+//! blind spots otherwise.
 //!
 //! Must run *after* every other rule: usage is recorded on the side by
 //! [`SourceFile::allowed`] and friends as the rules consult their
@@ -70,15 +70,6 @@ pub fn check(files: &[SourceFile], cfg: &Config, locks: &Analysis, out: &mut Vec
             config_entry(
                 lock,
                 "the [locks] io_exempt entry matched no blocking call under this lock — prune it"
-                    .to_string(),
-            );
-        }
-    }
-    for (lock, _) in &cfg.lock_classes {
-        if !locks.seen.contains(lock) {
-            config_entry(
-                lock,
-                "the [locks] classes entry names a lock never seen at any acquisition site"
                     .to_string(),
             );
         }

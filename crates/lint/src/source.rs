@@ -17,7 +17,7 @@ pub enum FileKind {
     Example,
     /// Test code (`tests/` directories).
     Test,
-    /// A criterion bench (`benches/`).
+    /// A bench target (`benches/`).
     Bench,
 }
 

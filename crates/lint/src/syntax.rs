@@ -50,7 +50,7 @@ impl FieldItem {
     }
 
     /// The outermost type name, used as a receiver-type hint for method
-    /// resolution (`h_heap: ShardedHeap` → `ShardedHeap`).
+    /// resolution (`h_items: StripedMap<ByteSize>` → `StripedMap`).
     pub fn base_type(&self) -> Option<&str> {
         self.type_idents
             .iter()

@@ -82,7 +82,7 @@ fn lock_graph_artifact_has_nodes_edges_and_witness_cycle() {
     let text = std::fs::read_to_string(&graph_path).expect("artifact must be written");
     let graph = Json::parse(&text).expect("artifact must be valid canonical JSON");
 
-    // Nodes carry name/declared/rank/class/io_exempt/sites.
+    // Nodes carry name/declared/rank/io_exempt/sites.
     let nodes = graph["nodes"].as_array().expect("nodes array");
     let pair_a = nodes
         .iter()

@@ -554,6 +554,52 @@ mod tests {
         }
     }
 
+    /// Absolute golden recorded at the commit *before* the H-heap moved
+    /// inside the admit lock and the H-list inside the epoch gate: one
+    /// stripe, one loader thread, a fixed 20 k-request Zipf trace, three
+    /// epochs each opened by an H-list push whose importances tie in
+    /// groups of 50 ids and rotate by one group per epoch. One thread
+    /// makes the run a pure function of its inputs, so any change to
+    /// admission order, tie-breaking, re-keying or rebalancing moves
+    /// these numbers.
+    #[test]
+    fn concurrent_manager_one_thread_matches_the_recorded_golden() {
+        use icache_core::{CacheStats, ConcurrentCache, ConcurrentManager, IcacheConfig};
+        use icache_sampling::{HList, ImportanceTable};
+        use icache_types::Epoch;
+        let ds = dataset(5_000);
+        let t = AccessPattern::Zipf { s: 1.1 }
+            .generate(5_000, 20_000, JobId(0), 17)
+            .unwrap();
+        let cfg = IcacheConfig::for_dataset(&ds, 0.1).unwrap();
+        let m = ConcurrentManager::new(cfg, &ds, 1).unwrap();
+        for e in 0..3u32 {
+            let mut table = ImportanceTable::new(ds.len());
+            for i in 0..ds.len() {
+                table.record_loss(SampleId(i), 10.0 - ((i / 50 + u64::from(e)) % 10) as f64);
+            }
+            m.update_hlist(JobId(0), &HList::top_fraction(&table, 0.3));
+            m.on_epoch_start(JobId(0), Epoch(e));
+            replay_concurrent(&t, &ds, &m, 1, 17, || Ok(Box::new(pfs()))).unwrap();
+            m.on_epoch_end(JobId(0), Epoch(e));
+        }
+        let golden = CacheStats {
+            h_hits: 13_926,
+            l_hits: 2_110,
+            pm_hits: 0,
+            substitutions: 7_653,
+            misses: 36_311,
+            insertions: 934,
+            evictions: 684,
+            rejections: 29_274,
+            bytes_from_cache: ByteSize::new(72_772_608),
+            bytes_from_storage: ByteSize::new(111_547_392),
+        };
+        assert_eq!(m.stats(), golden);
+        assert_eq!((m.h_len(), m.l_len()), (250, 239));
+        assert_eq!(m.h_capacity(), ByteSize::new(768_000));
+    }
+
     #[test]
     fn concurrent_replay_rejects_zero_threads_and_maps_loader_panics() {
         use icache_core::MutexCache;

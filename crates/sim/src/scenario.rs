@@ -419,7 +419,7 @@ impl Scenario {
         Ok((config, jobs))
     }
 
-    /// Run the scenario on a static, quiet-service-plane [`CacheService`]
+    /// Run the scenario on a static-membership [`CacheService`]
     /// cluster of `nodes` data-parallel ranks (§III-E), one sharded job
     /// per node, all sharing the scenario seed so the shards walk one
     /// common epoch plan.
@@ -440,7 +440,7 @@ impl Scenario {
         obs: &icache_obs::Obs,
     ) -> Result<Vec<RunMetrics>> {
         let (config, jobs) = self.distributed_setup(nodes)?;
-        let mut cluster = CacheService::new(config.quiet(), &self.dataset)?;
+        let mut cluster = CacheService::new(config, &self.dataset)?;
         let mut storage = self.build_storage()?;
         crate::run_multi_job_with_obs(jobs, &mut cluster, storage.as_mut(), obs)
     }

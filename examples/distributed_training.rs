@@ -29,7 +29,7 @@ fn main() -> Result<(), icache::types::Error> {
         })
         .collect();
 
-    let config = ServiceConfig::for_dataset(&dataset, NODES as usize, 0.2)?.quiet();
+    let config = ServiceConfig::for_dataset(&dataset, NODES as usize, 0.2)?;
     let mut cluster = CacheService::new(config, &dataset)?;
     let mut nfs = Nfs::new(NfsConfig::cloud_default())?;
 

@@ -21,9 +21,7 @@ fn shard_jobs(dataset: &Dataset, nodes: u32, epochs: u32) -> Vec<JobConfig> {
 }
 
 fn run_cluster(dataset: &Dataset, nodes: u32) -> (Vec<icache::sim::RunMetrics>, u64, u64) {
-    let config = ServiceConfig::for_dataset(dataset, nodes as usize, 0.2)
-        .expect("cfg")
-        .quiet();
+    let config = ServiceConfig::for_dataset(dataset, nodes as usize, 0.2).expect("cfg");
     let mut cluster = CacheService::new(config, dataset).expect("cluster");
     let mut nfs = Nfs::new(NfsConfig::cloud_default()).expect("nfs");
     let out = run_multi_job(shard_jobs(dataset, nodes, 3), &mut cluster, &mut nfs).expect("runs");

@@ -27,9 +27,7 @@ fn shard_jobs(dataset: &Dataset, nodes: u32) -> Vec<JobConfig> {
 
 fn run_cluster(nodes: u32) -> (Vec<RunMetrics>, CacheService, Obs) {
     let dataset = Dataset::cifar10().scaled(0.04).expect("scale");
-    let config = ServiceConfig::for_dataset(&dataset, nodes as usize, 0.2)
-        .expect("cfg")
-        .quiet();
+    let config = ServiceConfig::for_dataset(&dataset, nodes as usize, 0.2).expect("cfg");
     let mut cluster = CacheService::new(config, &dataset).expect("cluster");
     let mut nfs = Nfs::new(NfsConfig::cloud_default()).expect("nfs");
     let obs = Obs::new();
