@@ -65,7 +65,7 @@ const SPEC: Spec = Spec {
         Flag::required("universe", "samples in the dataset (default 20000)"),
         Flag::required("cache-frac", "cache fraction of the dataset (default 0.1)"),
         Flag::required("storage", "orangefs, nfs, tmpfs or ssd (default orangefs)"),
-        Flag::required("seed", "run seed (default 7)"),
+        Flag::required("seed", "run seed, decimal or 0x-hex (default 7)"),
         Flag::required(
             "trace",
             "replay this recorded request log (JSONL) instead of --pattern",
@@ -285,7 +285,7 @@ fn run(args: &Args) -> Result<(), String> {
     let universe: u64 = args.parsed("universe", 20_000)?;
     let requests: usize = args.parsed("requests", 50_000)?;
     let cache_frac: f64 = args.parsed("cache-frac", 0.1)?;
-    let seed: u64 = args.parsed("seed", 7)?;
+    let seed = args.seed("seed", 7)?;
     let storage_kind = match get("storage", "orangefs") {
         "orangefs" => StorageKind::OrangeFs,
         "nfs" => StorageKind::Nfs,

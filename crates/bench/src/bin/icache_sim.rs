@@ -185,13 +185,7 @@ fn run(args: &Args) -> Result<(), String> {
         "imagenet" => Scenario::imagenet(system),
         other => return Err(format!("unknown dataset `{other}`")),
     };
-    let seed = {
-        let raw = get("seed", "24301");
-        match raw.strip_prefix("0x") {
-            Some(hex) => u64::from_str_radix(hex, 16).map_err(|e| format!("--seed: {e}"))?,
-            None => raw.parse::<u64>().map_err(|e| format!("--seed: {e}"))?,
-        }
-    };
+    let seed = args.seed("seed", 0x5EED)?;
 
     let prefetch_depth: usize = args.parsed("prefetch-depth", 0)?;
     let scenario = base

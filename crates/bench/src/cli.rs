@@ -1,5 +1,5 @@
-//! The strict command-line parser shared by `icache_sim` and
-//! `icache_replay`.
+//! The strict command-line parser shared by `icache_sim`,
+//! `icache_replay` and `icache_experiments`.
 //!
 //! A binary declares its flags once, as a [`Spec`]: name, value kind and
 //! a one-line help per flag. Parsing rejects anything the table does not
@@ -119,6 +119,23 @@ impl Args {
             Some(raw) => raw.parse().map_err(|e| format!("--{name}: {e}")),
             None => Ok(default),
         }
+    }
+
+    /// The value of `name` as a seed — decimal or `0x`-prefixed hex — or
+    /// `default` when absent.
+    ///
+    /// # Errors
+    ///
+    /// Returns `--name: <parse error>` for an unparseable value.
+    pub fn seed(&self, name: &str, default: u64) -> Result<u64, String> {
+        let Some(raw) = self.get(name) else {
+            return Ok(default);
+        };
+        match raw.strip_prefix("0x") {
+            Some(hex) => u64::from_str_radix(hex, 16),
+            None => raw.parse(),
+        }
+        .map_err(|e| format!("--{name}: {e}"))
     }
 }
 
@@ -267,6 +284,17 @@ mod tests {
         assert_eq!(
             args(&["--parallel", "x"]).parsed("parallel", 1usize),
             Err("--parallel: invalid digit found in string".to_string())
+        );
+    }
+
+    #[test]
+    fn seeds_parse_as_decimal_or_hex() {
+        assert_eq!(args(&["--system", "0x5EED"]).seed("system", 1), Ok(0x5EED));
+        assert_eq!(args(&["--system", "24301"]).seed("system", 1), Ok(24301));
+        assert_eq!(args(&[]).seed("system", 7), Ok(7), "absent → default");
+        assert_eq!(
+            args(&["--system", "0xZZ"]).seed("system", 1),
+            Err("--system: invalid digit found in string".to_string())
         );
     }
 

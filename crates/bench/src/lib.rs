@@ -1,31 +1,35 @@
-//! Shared scaffolding for the experiment binaries.
+//! The experiment suite and the tools built on the simulator.
 //!
-//! Every binary in `src/bin/` regenerates one table or figure of the
-//! paper (see `DESIGN.md` §3 for the index and `EXPERIMENTS.md` for the
-//! recorded results). Binaries print an aligned table in the paper's
-//! layout plus `JSON <tag> {...}` lines for machine consumption.
+//! [`experiments::EXPERIMENTS`] is the one registry of the paper's tables
+//! and figures (plus the extension studies); the `icache_experiments`
+//! binary runs it (see `DESIGN.md` §3 for the index and `EXPERIMENTS.md`
+//! for the recorded results). Every experiment prints an aligned table in
+//! the paper's layout, `JSON <tag> {...}` lines for machine consumption,
+//! and computed `shape check:` verdicts.
 //!
-//! Runs are scaled-down by default so the full suite finishes in minutes;
-//! environment variables unlock larger runs:
+//! Runs are scaled down by default so the full suite finishes in under a
+//! minute; `icache_experiments` flags unlock larger runs:
 //!
-//! | Variable | Default | Meaning |
+//! | Flag | Default | Meaning |
 //! |---|---|---|
-//! | `ICACHE_CIFAR_SCALE` | `0.1` | Fraction of CIFAR-10 to simulate |
-//! | `ICACHE_IMAGENET_SCALE` | `0.01` | Fraction of ImageNet-1K to simulate |
-//! | `ICACHE_PERF_EPOCHS` | `4` | Epochs for timing experiments |
-//! | `ICACHE_ACC_EPOCHS` | `90` | Epochs for accuracy experiments |
-//! | `ICACHE_SEED` | `0x5EED` | Run seed |
+//! | `--cifar-scale` | `0.1` | Fraction of CIFAR-10 to simulate |
+//! | `--imagenet-scale` | `0.01` | Fraction of ImageNet-1K to simulate |
+//! | `--perf-epochs` | `4` | Epochs for timing experiments |
+//! | `--acc-epochs` | `90` | Epochs for accuracy experiments |
+//! | `--seed` | `0x5EED` | Run seed, decimal or `0x`-hex |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cli;
+pub mod experiments;
 pub mod sweep;
 pub mod workload;
 
 use icache_sim::{Scenario, SystemKind};
+use icache_types::Dataset;
 
-/// Scaling knobs shared by the experiment binaries.
+/// Scaling knobs shared by the experiments.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BenchEnv {
     /// Fraction of CIFAR-10 simulated.
@@ -52,43 +56,59 @@ impl Default for BenchEnv {
     }
 }
 
-fn env_f64(key: &str, default: f64) -> f64 {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn env_u64(key: &str, default: u64) -> u64 {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 impl BenchEnv {
-    /// Read the scaling knobs from the environment.
-    pub fn from_env() -> Self {
+    /// Read the scaling knobs from `icache_experiments`' flags.
+    ///
+    /// # Errors
+    ///
+    /// Returns a one-line message for an unparseable number, a scale
+    /// outside `(0, 1]` (or one that leaves the dataset empty), fewer
+    /// than two timing epochs (steady-state averages skip the first) or
+    /// zero accuracy epochs.
+    pub fn from_args(args: &cli::Args) -> Result<Self, String> {
         let d = BenchEnv::default();
-        BenchEnv {
-            cifar_scale: env_f64("ICACHE_CIFAR_SCALE", d.cifar_scale),
-            imagenet_scale: env_f64("ICACHE_IMAGENET_SCALE", d.imagenet_scale),
-            perf_epochs: env_u64("ICACHE_PERF_EPOCHS", d.perf_epochs as u64) as u32,
-            acc_epochs: env_u64("ICACHE_ACC_EPOCHS", d.acc_epochs as u64) as u32,
-            seed: env_u64("ICACHE_SEED", d.seed),
+        let env = BenchEnv {
+            cifar_scale: args.parsed("cifar-scale", d.cifar_scale)?,
+            imagenet_scale: args.parsed("imagenet-scale", d.imagenet_scale)?,
+            perf_epochs: args.parsed("perf-epochs", d.perf_epochs)?,
+            acc_epochs: args.parsed("acc-epochs", d.acc_epochs)?,
+            seed: args.seed("seed", d.seed)?,
+        };
+        Dataset::cifar10()
+            .scaled(env.cifar_scale)
+            .map_err(|e| format!("--cifar-scale: {e}"))?;
+        Dataset::imagenet_1k()
+            .scaled(env.imagenet_scale)
+            .map_err(|e| format!("--imagenet-scale: {e}"))?;
+        if env.perf_epochs < 2 {
+            return Err("--perf-epochs: must be at least 2".into());
         }
+        if env.acc_epochs < 1 {
+            return Err("--acc-epochs: must be at least 1".into());
+        }
+        Ok(env)
+    }
+
+    /// CIFAR-10 scaled per this environment.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cifar_scale` is out of range ([`BenchEnv::from_args`]
+    /// rejects such a value before anything runs).
+    pub fn cifar_dataset(&self) -> Dataset {
+        Dataset::cifar10()
+            .scaled(self.cifar_scale)
+            .expect("cifar_scale lies in (0, 1] and keeps at least one sample")
     }
 
     /// A CIFAR-10 scenario scaled per this environment.
     ///
     /// # Panics
     ///
-    /// Panics if the configured scale is out of range (user error in the
-    /// environment variables).
+    /// Panics if `cifar_scale` is out of range.
     pub fn cifar(&self, system: SystemKind) -> Scenario {
         Scenario::cifar10(system)
-            .scale_dataset(self.cifar_scale)
-            .expect("ICACHE_CIFAR_SCALE out of range")
+            .dataset(self.cifar_dataset())
             .seed(self.seed)
     }
 
@@ -96,24 +116,13 @@ impl BenchEnv {
     ///
     /// # Panics
     ///
-    /// Panics if the configured scale is out of range.
+    /// Panics if `imagenet_scale` is out of range.
     pub fn imagenet(&self, system: SystemKind) -> Scenario {
         Scenario::imagenet(system)
             .scale_dataset(self.imagenet_scale)
-            .expect("ICACHE_IMAGENET_SCALE out of range")
+            .expect("imagenet_scale lies in (0, 1] and keeps at least one sample")
             .seed(self.seed)
     }
-}
-
-/// Print the standard experiment banner.
-pub fn banner(id: &str, paper_claim: &str, env: &BenchEnv) {
-    println!("=== {id} ===");
-    println!("paper: {paper_claim}");
-    println!(
-        "run:   cifar x{}, imagenet x{}, perf {} epochs, acc {} epochs, seed {:#x}",
-        env.cifar_scale, env.imagenet_scale, env.perf_epochs, env.acc_epochs, env.seed
-    );
-    println!();
 }
 
 #[cfg(test)]
@@ -133,6 +142,7 @@ mod tests {
         let e = BenchEnv::default();
         let s = e.cifar(SystemKind::Icache);
         assert_eq!(s.dataset_ref().len(), 5_000);
+        assert_eq!(e.cifar_dataset().len(), 5_000);
         let s = e.imagenet(SystemKind::Default);
         assert_eq!(s.dataset_ref().len(), 12_812);
     }

@@ -1,7 +1,7 @@
 //! The parallel sweep engine: run independent bench/sim tasks on scoped
 //! worker threads with deterministic result ordering.
 //!
-//! Every experiment binary in this crate is a *sweep*: an outer loop over
+//! Every experiment in this crate is a *sweep*: an outer loop over
 //! independent points (policies, cache sizes, worker counts, models) whose
 //! iterations share nothing but read-only inputs. [`run_indexed`] executes
 //! such a loop on `workers` OS threads while keeping the result vector in
@@ -24,18 +24,11 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Default worker count: the `ICACHE_SWEEP_WORKERS` environment variable
-/// when set, otherwise the machine's available parallelism.
+/// Default worker count: the machine's available parallelism.
 pub fn default_workers() -> usize {
-    std::env::var("ICACHE_SWEEP_WORKERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        })
+    std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(1)
 }
 
 /// Parse a `--parallel` flag value: empty or `"auto"` resolve via

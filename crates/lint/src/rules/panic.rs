@@ -2,7 +2,7 @@
 //! on a recoverable condition. `unwrap()`, `panic!`, and `unreachable!`
 //! are forbidden in library targets; `expect()` is allowed **only** when
 //! its argument is a string literal long enough to state the invariant
-//! it relies on — the message *is* the mandatory reason. Tests, benches,
+//! it relies on — the message *is* the mandatory reason. Tests,
 //! examples, and binaries are exempt (a driver binary aborting on bad
 //! input is fine; a library crate doing so is not).
 //!
@@ -168,13 +168,8 @@ mod tests {
     }
 
     #[test]
-    fn bins_tests_benches_exempt() {
-        for kind in [
-            FileKind::Bin,
-            FileKind::Test,
-            FileKind::Bench,
-            FileKind::Example,
-        ] {
+    fn bins_tests_examples_exempt() {
+        for kind in [FileKind::Bin, FileKind::Test, FileKind::Example] {
             assert!(check_src("fn f(x: Option<u8>) -> u8 { x.unwrap() }", kind).is_empty());
         }
     }

@@ -17,8 +17,6 @@ pub enum FileKind {
     Example,
     /// Test code (`tests/` directories).
     Test,
-    /// A bench target (`benches/`).
-    Bench,
 }
 
 /// A parsed `// lint: allow(<rule>): <reason>` escape hatch.

@@ -83,8 +83,6 @@ fn crate_dir_of(rel: &str) -> Option<String> {
 fn classify(rel: &str) -> FileKind {
     if rel.starts_with("tests/") || rel.contains("/tests/") {
         FileKind::Test
-    } else if rel.starts_with("benches/") || rel.contains("/benches/") {
-        FileKind::Bench
     } else if rel.starts_with("examples/") || rel.contains("/examples/") {
         FileKind::Example
     } else if rel.contains("/src/bin/") || rel.ends_with("/main.rs") || rel == "src/main.rs" {
@@ -101,12 +99,11 @@ mod tests {
     #[test]
     fn classification_by_path_shape() {
         assert_eq!(classify("crates/core/src/manager.rs"), FileKind::Lib);
-        assert_eq!(classify("crates/bench/src/bin/fig01.rs"), FileKind::Bin);
-        assert_eq!(classify("crates/lint/src/main.rs"), FileKind::Bin);
         assert_eq!(
-            classify("crates/bench/benches/heap_ops.rs"),
-            FileKind::Bench
+            classify("crates/bench/src/bin/icache_sim.rs"),
+            FileKind::Bin
         );
+        assert_eq!(classify("crates/lint/src/main.rs"), FileKind::Bin);
         assert_eq!(classify("crates/sim/examples/calib.rs"), FileKind::Example);
         assert_eq!(classify("tests/end_to_end.rs"), FileKind::Test);
         assert_eq!(classify("crates/bench/tests/cli.rs"), FileKind::Test);

@@ -137,12 +137,6 @@ pub fn run_metrics_csv(metrics: &crate::RunMetrics) -> String {
     out
 }
 
-/// Emit one JSON result line (prefixed so it can be grepped out of bench
-/// output).
-pub fn json_line<T: icache_obs::ToJson + ?Sized>(tag: &str, value: &T) {
-    println!("JSON {tag} {}", value.to_json());
-}
-
 /// Build the machine-readable run summary the bench binaries write for
 /// `--json <path>`: per-job metrics plus the observability registry
 /// (counters, gauges, latency histograms) and trace accounting.
