@@ -46,7 +46,7 @@
 
 use icache_bench::cli::{Args, Flag, Spec};
 use icache_bench::{sweep, workload};
-use icache_obs::{Json, Obs};
+use icache_obs::{decl, Json, Obs};
 use icache_sampling::HList;
 use icache_sim::replay::{
     replay, replay_concurrent, summarize, AccessPattern, ReplayReport, Trace,
@@ -220,12 +220,16 @@ fn run_policy(name: &str, ctx: &ReplayCtx) -> Result<PolicyOutput, String> {
     // The replay driver's own accounting: baselines record nothing
     // into the registry themselves, so these six counters make every
     // policy snapshot sum to the shared workload's access count.
-    obs.add("replay.accesses", ctx.trace.len() as u64);
-    obs.add("replay.h_hits", rep.stats.h_hits);
-    obs.add("replay.l_hits", rep.stats.l_hits);
-    obs.add("replay.pm_hits", rep.stats.pm_hits);
-    obs.add("replay.substitutions", rep.stats.substitutions);
-    obs.add("replay.misses", rep.stats.misses);
+    for (metric, n) in [
+        (decl::REPLAY_ACCESSES, ctx.trace.len() as u64),
+        (decl::REPLAY_H_HITS, rep.stats.h_hits),
+        (decl::REPLAY_L_HITS, rep.stats.l_hits),
+        (decl::REPLAY_PM_HITS, rep.stats.pm_hits),
+        (decl::REPLAY_SUBSTITUTIONS, rep.stats.substitutions),
+        (decl::REPLAY_MISSES, rep.stats.misses),
+    ] {
+        obs.handle(metric).add(n);
+    }
     let mut row = vec![
         name.to_string(),
         format!("{:.1}", rep.hit_ratio() * 100.0),

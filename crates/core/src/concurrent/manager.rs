@@ -1,6 +1,7 @@
 //! The lock-striped concurrent cache manager.
 
 use super::{lock_counted, stripe_count, AtomicCacheStats, FreshPool, StripedMap};
+use crate::stats::CacheObs;
 use crate::{
     CacheStats, CacheSystem, Fetch, FetchOutcome, HHeap, IcacheConfig, MultiJobCoordinator,
     Packager, Substitution,
@@ -170,7 +171,7 @@ struct LoaderState {
 /// (the registry is add-only, so counter publishes are deltas).
 #[derive(Debug)]
 struct Published {
-    obs: Obs,
+    obs: CacheObs,
     stats: CacheStats,
     contention: u64,
 }
@@ -305,7 +306,7 @@ impl ConcurrentManager {
             epoch_l_accesses: AtomicU64::new(0),
             own_contention: AtomicU64::new(0),
             published: Mutex::new(Published {
-                obs: Obs::noop(),
+                obs: CacheObs::new(Obs::noop()),
                 stats: CacheStats::default(),
                 contention: 0,
             }),
@@ -581,33 +582,27 @@ impl ConcurrentManager {
         let obs = published.obs.clone();
         let delta = snap.delta_since(&published.stats);
         published.stats = snap;
-        obs.add("cache.h_hits", delta.h_hits);
-        obs.add("cache.l_hits", delta.l_hits);
-        obs.add("cache.substitutions", delta.substitutions);
-        obs.add("cache.misses", delta.misses);
-        obs.add("cache.insertions", delta.insertions);
-        obs.add("cache.evictions", delta.evictions);
-        obs.add("cache.rejections", delta.rejections);
-        obs.add("lcache.packages_built", packages_built);
-        obs.add("lcache.package_bytes", package_bytes);
-        obs.add(
-            "cache.lock_contention",
-            contended.saturating_sub(published.contention),
-        );
+        obs.h_hits.add(delta.h_hits);
+        obs.l_hits.add(delta.l_hits);
+        obs.substitutions.add(delta.substitutions);
+        obs.misses.add(delta.misses);
+        obs.insertions.add(delta.insertions);
+        obs.evictions.add(delta.evictions);
+        obs.rejections.add(delta.rejections);
+        obs.packages_built.add(packages_built);
+        obs.package_bytes.add(package_bytes);
+        obs.lock_contention
+            .add(contended.saturating_sub(published.contention));
         published.contention = contended;
         drop(published);
-        obs.set_gauge("cache.h_capacity", self.h_capacity().as_f64());
-        obs.set_gauge("cache.l_capacity", self.l_capacity().as_f64());
-        obs.set_gauge("cache.hit_ratio", snap.hit_ratio());
-        obs.set_gauge("cache.stripe.count", self.stripes as f64);
-        obs.set_gauge(
-            "cache.stripe.h_max_residents",
-            self.h_items.max_stripe_population() as f64,
-        );
-        obs.set_gauge(
-            "cache.stripe.l_max_residents",
-            self.l_resident.max_stripe_population() as f64,
-        );
+        obs.h_capacity.set(self.h_capacity().as_f64());
+        obs.l_capacity.set(self.l_capacity().as_f64());
+        obs.hit_ratio.set(snap.hit_ratio());
+        obs.stripe_count.set(self.stripes as f64);
+        obs.stripe_h_max_residents
+            .set(self.h_items.max_stripe_population() as f64);
+        obs.stripe_l_max_residents
+            .set(self.l_resident.max_stripe_population() as f64);
     }
 }
 
@@ -710,7 +705,7 @@ impl ConcurrentCache for ConcurrentManager {
         self.published
             .lock()
             .expect("published-state lock poisoned: a publisher panicked")
-            .obs = obs;
+            .obs = CacheObs::new(obs);
         self.publish_obs();
     }
 

@@ -2,6 +2,7 @@
 
 use crate::dense::{IdSet, IdSlab};
 use crate::service::{RecoveryEntry, RecoveryRegion};
+use crate::stats::CacheObs;
 use crate::{
     CacheStats, CacheSystem, Fetch, FetchOutcome, HCache, LCache, LCacheConfig, LFetch,
     MultiJobCoordinator, Packager, PmTierConfig, SampleData, VictimCache,
@@ -157,6 +158,32 @@ impl IcacheConfig {
     }
 }
 
+/// One counted cache event, as [`IcacheManager::record`] takes it.
+#[derive(Clone, Copy)]
+enum Recorded<'a> {
+    /// Served from the H-region: the sample and its size.
+    HHit(SampleId, ByteSize),
+    /// Promoted back from the PM victim tier.
+    PmHit(SampleId, ByteSize),
+    /// Served from the L-region.
+    LHit(SampleId, ByteSize),
+    /// Served the resident `by` (of `bytes`) in place of `requested`.
+    Substituted {
+        requested: SampleId,
+        by: SampleId,
+        bytes: ByteSize,
+        kind: &'static str,
+    },
+    /// Read from storage.
+    Miss(SampleId, ByteSize),
+    /// Admitted into the H-region.
+    Inserted,
+    /// Denied admission.
+    Rejected,
+    /// Left the H-region (admission victims or an epoch-end shrink).
+    Evicted(&'a [SampleId]),
+}
+
 /// The iCache server + manager: a two-region importance-informed cache.
 ///
 /// * Requests for samples on the requesting job's H-list go to the
@@ -194,8 +221,8 @@ pub struct IcacheManager {
     h_sub_used: IdSet,
     victim: Option<VictimCache>,
     primary_job: Option<JobId>,
-    /// Shared observability handle (metrics registry + trace ring).
-    obs: Obs,
+    /// Shared observability handle (trace ring + `cache.*` metric handles).
+    obs: CacheObs,
     /// Epoch of the primary job, for event attribution.
     current_epoch: u64,
 }
@@ -235,7 +262,7 @@ impl IcacheManager {
             l_accesses: 0,
             h_sub_used: IdSet::new(dataset.len()),
             primary_job: None,
-            obs: Obs::noop(),
+            obs: CacheObs::new(Obs::noop()),
             current_epoch: 0,
             dataset: dataset.clone(),
             config,
@@ -284,15 +311,90 @@ impl IcacheManager {
         self.job_stats.get(&job).copied().unwrap_or_default()
     }
 
-    /// Record H-region evictions in the registry and the event trace.
-    fn note_evictions(&mut self, evicted: &[SampleId]) {
-        self.obs.add("cache.evictions", evicted.len() as u64);
-        for &id in evicted {
-            self.obs.emit(TraceEvent::Eviction {
-                sample: id.0,
-                bytes: self.dataset.sample_size(id).as_u64(),
-            });
+    /// The one write site of every counted cache event: the manager's
+    /// own [`CacheStats`], the view of them of the job whose fetch (or
+    /// epoch end) caused it, the run-wide `cache.*` handle and the trace
+    /// event move together — so per-job stats always sum to the global
+    /// ones.
+    fn record(&mut self, job: JobId, event: Recorded<'_>) {
+        let mut delta = CacheStats::default();
+        let obs = &self.obs;
+        let job_no = job.0 as u64;
+        match event {
+            Recorded::HHit(id, bytes) => {
+                delta.h_hits = 1;
+                delta.bytes_from_cache = bytes;
+                obs.h_hits.inc();
+                obs.emit(TraceEvent::HHit {
+                    job: job_no,
+                    sample: id.0,
+                });
+            }
+            // A PM promotion is traced as the H hit it becomes.
+            Recorded::PmHit(id, bytes) => {
+                delta.pm_hits = 1;
+                delta.bytes_from_cache = bytes;
+                obs.pm_hits.inc();
+                obs.emit(TraceEvent::HHit {
+                    job: job_no,
+                    sample: id.0,
+                });
+            }
+            Recorded::LHit(id, bytes) => {
+                delta.l_hits = 1;
+                delta.bytes_from_cache = bytes;
+                obs.l_hits.inc();
+                obs.emit(TraceEvent::LHit {
+                    job: job_no,
+                    sample: id.0,
+                });
+            }
+            Recorded::Substituted {
+                requested,
+                by,
+                bytes,
+                kind,
+            } => {
+                delta.substitutions = 1;
+                delta.bytes_from_cache = bytes;
+                obs.substitutions.inc();
+                obs.emit(TraceEvent::Substitution {
+                    job: job_no,
+                    requested: requested.0,
+                    substitute: by.0,
+                    kind,
+                });
+            }
+            Recorded::Miss(id, bytes) => {
+                delta.misses = 1;
+                delta.bytes_from_storage = bytes;
+                obs.misses.inc();
+                obs.emit(TraceEvent::Miss {
+                    job: job_no,
+                    sample: id.0,
+                });
+            }
+            Recorded::Inserted => {
+                delta.insertions = 1;
+                obs.insertions.inc();
+            }
+            Recorded::Rejected => {
+                delta.rejections = 1;
+                obs.rejections.inc();
+            }
+            Recorded::Evicted(ids) => {
+                delta.evictions = ids.len() as u64;
+                obs.evictions.add(delta.evictions);
+                for &id in ids {
+                    obs.emit(TraceEvent::Eviction {
+                        sample: id.0,
+                        bytes: self.dataset.sample_size(id).as_u64(),
+                    });
+                }
+            }
         }
+        self.stats += delta;
+        *self.job_stats.entry(job).or_default() += delta;
     }
 
     /// Spill evicted H-samples into the PM tier.
@@ -301,7 +403,7 @@ impl IcacheManager {
             for &id in evicted {
                 let size = self.dataset.sample_size(id);
                 pm.insert(id, size);
-                self.obs.inc("cache.pm_spills");
+                self.obs.pm_spills.inc();
                 self.obs.emit(TraceEvent::SpillToPm {
                     sample: id.0,
                     bytes: size.as_u64(),
@@ -349,9 +451,8 @@ impl IcacheManager {
         if pkg.is_empty() {
             return;
         }
-        self.obs.inc("lcache.packages_built");
-        self.obs
-            .add("lcache.package_bytes", pkg.total_bytes().as_u64());
+        self.obs.packages_built.inc();
+        self.obs.package_bytes.add(pkg.total_bytes().as_u64());
         self.obs.emit(TraceEvent::PackageBuild {
             package: pkg.id().0,
             samples: pkg.len() as u64,
@@ -384,13 +485,7 @@ impl IcacheManager {
     ) -> Fetch {
         self.h_accesses += 1;
         if self.hcache.contains(id) {
-            self.stats.h_hits += 1;
-            self.stats.bytes_from_cache += size;
-            self.obs.inc("cache.h_hits");
-            self.obs.emit(TraceEvent::HHit {
-                job: job.0 as u64,
-                sample: id.0,
-            });
+            self.record(job, Recorded::HHit(id, size));
             return Fetch {
                 ready_at: now + self.hit_service(size),
                 served_id: id,
@@ -403,25 +498,16 @@ impl IcacheManager {
             .as_mut()
             .is_some_and(|pm| pm.promote(id).is_some())
         {
-            self.stats.pm_hits += 1;
-            self.stats.bytes_from_cache += size;
-            self.obs.inc("cache.pm_hits");
-            self.obs.emit(TraceEvent::HHit {
-                job: job.0 as u64,
-                sample: id.0,
-            });
+            self.record(job, Recorded::PmHit(id, size));
             let pm = self.victim.as_ref().expect("checked above");
             let ready = now + self.config.rpc_overhead + pm.read_cost(size);
             let iv = self.admission_value(job, id);
             let result = self.hcache.admit(SampleData::generate(id, size), iv);
             if result.admitted {
-                self.stats.insertions += 1;
-                self.stats.evictions += result.evicted.len() as u64;
-                self.obs.inc("cache.insertions");
-                self.note_evictions(&result.evicted);
+                self.record(job, Recorded::Inserted);
+                self.record(job, Recorded::Evicted(&result.evicted));
             }
-            let evicted = result.evicted;
-            self.spill_to_pm(&evicted);
+            self.spill_to_pm(&result.evicted);
             return Fetch {
                 ready_at: ready,
                 served_id: id,
@@ -430,23 +516,14 @@ impl IcacheManager {
         }
         // Miss: read from storage and decide admission (Alg. 1 lines 8–16).
         let done = storage.read_sample(id, size, now);
-        self.stats.misses += 1;
-        self.stats.bytes_from_storage += size;
-        self.obs.inc("cache.misses");
-        self.obs.emit(TraceEvent::Miss {
-            job: job.0 as u64,
-            sample: id.0,
-        });
+        self.record(job, Recorded::Miss(id, size));
         let iv = self.admission_value(job, id);
         let result = self.hcache.admit(SampleData::generate(id, size), iv);
         if result.admitted {
-            self.stats.insertions += 1;
-            self.stats.evictions += result.evicted.len() as u64;
-            self.obs.inc("cache.insertions");
-            self.note_evictions(&result.evicted);
+            self.record(job, Recorded::Inserted);
+            self.record(job, Recorded::Evicted(&result.evicted));
         } else {
-            self.stats.rejections += 1;
-            self.obs.inc("cache.rejections");
+            self.record(job, Recorded::Rejected);
         }
         self.spill_to_pm(&result.evicted);
         Fetch {
@@ -481,26 +558,7 @@ impl IcacheManager {
             // The L-cache proposes an un-accessed L resident; the final
             // decision follows the configured §V-E policy.
             LFetch::Substitute(sub) => match self.config.substitution {
-                Substitution::FromL => {
-                    self.stats.substitutions += 1;
-                    let sub_size = self.dataset.sample_size(sub);
-                    self.stats.bytes_from_cache += sub_size;
-                    self.obs.inc("cache.substitutions");
-                    self.obs.emit(TraceEvent::Substitution {
-                        job: job.0 as u64,
-                        requested: id.0,
-                        substitute: sub.0,
-                        kind: "st_lc",
-                    });
-                    Fetch {
-                        ready_at: now + self.hit_service(sub_size),
-                        served_id: sub,
-                        outcome: FetchOutcome::Substituted {
-                            by: sub,
-                            from_h: false,
-                        },
-                    }
-                }
+                Substitution::FromL => self.substituted(job, id, sub, false, now),
                 Substitution::FromH => self.substitute_from_h(job, id, size, now, storage),
                 Substitution::None => self.storage_miss(job, id, size, now, storage),
             },
@@ -512,13 +570,7 @@ impl IcacheManager {
     }
 
     fn l_hit(&mut self, job: JobId, id: SampleId, size: ByteSize, now: SimTime) -> Fetch {
-        self.stats.l_hits += 1;
-        self.stats.bytes_from_cache += size;
-        self.obs.inc("cache.l_hits");
-        self.obs.emit(TraceEvent::LHit {
-            job: job.0 as u64,
-            sample: id.0,
-        });
+        self.record(job, Recorded::LHit(id, size));
         Fetch {
             ready_at: now + self.hit_service(size),
             served_id: id,
@@ -550,26 +602,37 @@ impl IcacheManager {
         match pick {
             Some(sub) => {
                 self.h_sub_used.insert(sub);
-                self.stats.substitutions += 1;
-                let sub_size = self.dataset.sample_size(sub);
-                self.stats.bytes_from_cache += sub_size;
-                self.obs.inc("cache.substitutions");
-                self.obs.emit(TraceEvent::Substitution {
-                    job: job.0 as u64,
-                    requested: id.0,
-                    substitute: sub.0,
-                    kind: "st_hc",
-                });
-                Fetch {
-                    ready_at: now + self.hit_service(sub_size),
-                    served_id: sub,
-                    outcome: FetchOutcome::Substituted {
-                        by: sub,
-                        from_h: true,
-                    },
-                }
+                self.substituted(job, id, sub, true, now)
             }
             None => self.storage_miss(job, id, size, now, storage),
+        }
+    }
+
+    /// Serve `requested` with the resident `by` (ST_HC when `from_h`,
+    /// ST_LC otherwise).
+    fn substituted(
+        &mut self,
+        job: JobId,
+        requested: SampleId,
+        by: SampleId,
+        from_h: bool,
+        now: SimTime,
+    ) -> Fetch {
+        let bytes = self.dataset.sample_size(by);
+        let kind = if from_h { "st_hc" } else { "st_lc" };
+        self.record(
+            job,
+            Recorded::Substituted {
+                requested,
+                by,
+                bytes,
+                kind,
+            },
+        );
+        Fetch {
+            ready_at: now + self.hit_service(bytes),
+            served_id: by,
+            outcome: FetchOutcome::Substituted { by, from_h },
         }
     }
 
@@ -582,13 +645,7 @@ impl IcacheManager {
         storage: &mut dyn StorageBackend,
     ) -> Fetch {
         let done = storage.read_sample(id, size, now);
-        self.stats.misses += 1;
-        self.stats.bytes_from_storage += size;
-        self.obs.inc("cache.misses");
-        self.obs.emit(TraceEvent::Miss {
-            job: job.0 as u64,
-            sample: id.0,
-        });
+        self.record(job, Recorded::Miss(id, size));
         Fetch {
             ready_at: done + self.config.rpc_overhead,
             served_id: id,
@@ -708,10 +765,10 @@ impl Observable for IcacheManager {
     fn set_obs(&mut self, obs: Obs) {
         // Seed the gauges so snapshots carry the split before the first
         // rebalance; every rebalance keeps them current.
-        obs.set_gauge("cache.h_capacity", self.hcache.capacity().as_f64());
-        obs.set_gauge("cache.l_capacity", self.lcache.capacity().as_f64());
         self.coordinator.set_obs(obs.clone());
-        self.obs = obs;
+        self.obs = CacheObs::new(obs);
+        self.obs.h_capacity.set(self.hcache.capacity().as_f64());
+        self.obs.l_capacity.set(self.lcache.capacity().as_f64());
     }
 }
 
@@ -738,16 +795,7 @@ impl CacheSystem for IcacheManager {
             self.coordinator.register_job(job);
             if self.coordinator.should_bypass(job) {
                 let done = storage.read_sample(id, size, now) + self.config.rpc_overhead;
-                self.stats.misses += 1;
-                self.stats.bytes_from_storage += size;
-                self.obs.inc("cache.misses");
-                self.obs.emit(TraceEvent::Miss {
-                    job: job.0 as u64,
-                    sample: id.0,
-                });
-                let per_job = self.job_stats.entry(job).or_default();
-                per_job.misses += 1;
-                per_job.bytes_from_storage += size;
+                self.record(job, Recorded::Miss(id, size));
                 self.coordinator
                     .record_fetch(job, done.saturating_since(now));
                 return Fetch {
@@ -763,28 +811,12 @@ impl CacheSystem for IcacheManager {
         // without substitution — warm-up must remain a clean full pass.
         let warmed_up = self.coordinator.hlist(job).is_some();
         let is_h = self.coordinator.hlist(job).is_some_and(|h| h.contains(id));
-        let before = self.stats;
         let fetch = if is_h {
             self.fetch_h(job, id, size, now, storage)
         } else {
             self.fetch_l(job, id, size, now, storage, warmed_up)
         };
-        self.obs
-            .observe("cache.fetch", fetch.ready_at.saturating_since(now));
-        // Attribute this fetch's counter movement to the requesting job.
-        let delta = self.stats.delta_since(&before);
-        let per_job = self.job_stats.entry(job).or_default();
-        per_job.h_hits += delta.h_hits;
-        per_job.l_hits += delta.l_hits;
-        per_job.pm_hits += delta.pm_hits;
-        per_job.substitutions += delta.substitutions;
-        per_job.misses += delta.misses;
-        per_job.insertions += delta.insertions;
-        per_job.evictions += delta.evictions;
-        per_job.rejections += delta.rejections;
-        per_job.bytes_from_cache += delta.bytes_from_cache;
-        per_job.bytes_from_storage += delta.bytes_from_storage;
-
+        self.obs.fetch.observe(fetch.ready_at.saturating_since(now));
         if self.config.multi_job {
             self.coordinator
                 .record_fetch(job, fetch.ready_at.saturating_since(now));
@@ -840,13 +872,12 @@ impl CacheSystem for IcacheManager {
                 .config
                 .rebalanced_h_capacity(self.h_accesses as f64 / total as f64);
             let evicted = self.hcache.resize(h_cap);
-            self.stats.evictions += evicted.len() as u64;
-            self.note_evictions(&evicted);
+            self.record(job, Recorded::Evicted(&evicted));
             self.spill_to_pm(&evicted);
             let l_cap = self.config.capacity.saturating_sub(h_cap);
             self.lcache.set_capacity(l_cap);
-            self.obs.set_gauge("cache.h_capacity", h_cap.as_f64());
-            self.obs.set_gauge("cache.l_capacity", l_cap.as_f64());
+            self.obs.h_capacity.set(h_cap.as_f64());
+            self.obs.l_capacity.set(l_cap.as_f64());
             self.obs.emit(TraceEvent::RegionRebalance {
                 epoch: epoch.0 as u64,
                 h_bytes: h_cap.as_u64(),
@@ -858,8 +889,7 @@ impl CacheSystem for IcacheManager {
         self.l_accesses = 0;
         // DESIGN.md §7: `cache.hit_ratio` is defined as the paper-style
         // ratio at the last epoch boundary.
-        self.obs
-            .set_gauge("cache.hit_ratio", self.stats.hit_ratio());
+        self.obs.hit_ratio.set(self.stats.hit_ratio());
     }
 
     fn set_obs(&mut self, obs: icache_obs::Obs) {
@@ -1116,6 +1146,8 @@ mod tests {
         let s1 = m.stats_for(JobId(1));
         let total = m.stats();
         assert_eq!(s0.requests() + s1.requests(), total.requests());
+        assert_eq!(s0.insertions + s1.insertions, total.insertions);
+        assert_eq!(s0.evictions + s1.evictions, total.evictions);
         assert_eq!(s0.requests(), 30);
         assert_eq!(s1.requests(), 30);
         assert_eq!(

@@ -1,6 +1,6 @@
 //! Multi-job coordination (§III-D).
 
-use icache_obs::{Obs, Observable};
+use icache_obs::{decl, Gauge, Obs, Observable};
 use icache_sampling::HList;
 use icache_types::{Error, ImportanceValue, JobId, Result, SampleId, SimDuration};
 use std::collections::BTreeMap;
@@ -121,6 +121,16 @@ struct JobState {
     hlist: Option<HList>,
     probe: BenefitProbe,
     last_benefit: Option<JobBenefit>,
+    /// This job's `multijob.job{k}.benefit` gauge.
+    benefit_gauge: Gauge,
+}
+
+icache_obs::obs_handles! {
+    struct MultiJobObs {
+        jobs_registered: Counter = MULTIJOB_JOBS_REGISTERED,
+        probes_completed: Counter = MULTIJOB_PROBES_COMPLETED,
+        eligible_verdicts: Counter = MULTIJOB_ELIGIBLE_VERDICTS,
+    }
 }
 
 /// Coordinates concurrent jobs sharing one dataset in one cache (§III-D).
@@ -157,7 +167,7 @@ pub struct MultiJobCoordinator {
     threshold: f64,
     probe_len: u64,
     jobs: BTreeMap<JobId, JobState>,
-    obs: Obs,
+    obs: MultiJobObs,
 }
 
 impl Observable for MultiJobCoordinator {
@@ -166,7 +176,10 @@ impl Observable for MultiJobCoordinator {
     /// counters and each job's latest benefit in a
     /// `multijob.job<k>.benefit` gauge.
     fn set_obs(&mut self, obs: Obs) {
-        self.obs = obs;
+        for (job, state) in &mut self.jobs {
+            state.benefit_gauge = obs.member(decl::MULTIJOB_JOB_BENEFIT, job.0.into());
+        }
+        self.obs = MultiJobObs::new(obs);
     }
 }
 
@@ -193,7 +206,7 @@ impl MultiJobCoordinator {
             threshold,
             probe_len,
             jobs: BTreeMap::new(),
-            obs: Obs::noop(),
+            obs: MultiJobObs::new(Obs::noop()),
         })
     }
 
@@ -205,13 +218,14 @@ impl MultiJobCoordinator {
     /// Register `job` (idempotent).
     pub fn register_job(&mut self, job: JobId) {
         if !self.jobs.contains_key(&job) {
-            self.obs.inc("multijob.jobs_registered");
+            self.obs.jobs_registered.inc();
             self.jobs.insert(
                 job,
                 JobState {
                     hlist: None,
                     probe: BenefitProbe::new(self.probe_len),
                     last_benefit: None,
+                    benefit_gauge: self.obs.member(decl::MULTIJOB_JOB_BENEFIT, job.0.into()),
                 },
             );
         }
@@ -241,12 +255,11 @@ impl MultiJobCoordinator {
                 s.last_benefit = Some(JobBenefit { ratio, eligible });
                 if !was_done {
                     // The probe just completed for this epoch.
-                    self.obs.inc("multijob.probes_completed");
+                    self.obs.probes_completed.inc();
                     if eligible {
-                        self.obs.inc("multijob.eligible_verdicts");
+                        self.obs.eligible_verdicts.inc();
                     }
-                    self.obs
-                        .set_gauge(&format!("multijob.job{}.benefit", job.0), ratio);
+                    s.benefit_gauge.set(ratio);
                 }
             }
         }

@@ -99,7 +99,16 @@ pub struct PrefetchPipeline {
     ready: BTreeMap<u64, Fetch>,
     consumed: Vec<bool>,
     report: PrefetchReport,
-    obs: Obs,
+    obs: PrefetchObs,
+}
+
+icache_obs::obs_handles! {
+    struct PrefetchObs {
+        issued: Counter = PREFETCH_ISSUED,
+        hits: Counter = PREFETCH_HITS,
+        late: Counter = PREFETCH_LATE,
+        cancelled: Counter = PREFETCH_CANCELLED,
+    }
 }
 
 impl PrefetchPipeline {
@@ -122,7 +131,7 @@ impl PrefetchPipeline {
             ready: BTreeMap::new(),
             consumed,
             report: PrefetchReport::default(),
-            obs,
+            obs: PrefetchObs::new(obs),
         })
     }
 
@@ -146,7 +155,7 @@ impl PrefetchPipeline {
             if self.consumed[pos] {
                 // Demand-fetched before the sweep got here: skip it.
                 self.report.cancelled += 1;
-                self.obs.inc("prefetch.cancelled");
+                self.obs.cancelled.inc();
                 self.next_issue += 1;
                 continue;
             }
@@ -166,7 +175,7 @@ impl PrefetchPipeline {
                 sample: access.id,
                 in_flight: self.window.in_flight(),
             });
-            self.obs.inc("prefetch.issued");
+            self.obs.issued.inc();
             self.obs.emit(TraceEvent::PrefetchIssue {
                 job: access.job.0 as u64,
                 sample: access.id.0,
@@ -208,11 +217,11 @@ impl PrefetchPipeline {
                 let stall = prefetched.ready_at.saturating_since(now);
                 if stall.is_zero() {
                     self.report.hits += 1;
-                    self.obs.inc("prefetch.hits");
+                    self.obs.hits.inc();
                 } else {
                     self.report.late += 1;
                     self.report.stall += stall;
-                    self.obs.inc("prefetch.late");
+                    self.obs.late.inc();
                     self.obs.emit(TraceEvent::PrefetchLate {
                         job: access.job.0 as u64,
                         sample: access.id.0,
@@ -234,7 +243,7 @@ impl PrefetchPipeline {
                 let stall = fetch.ready_at.saturating_since(now);
                 self.report.late += 1;
                 self.report.stall += stall;
-                self.obs.inc("prefetch.late");
+                self.obs.late.inc();
                 self.obs.emit(TraceEvent::PrefetchLate {
                     job: access.job.0 as u64,
                     sample: access.id.0,
@@ -254,7 +263,7 @@ impl PrefetchPipeline {
         let leftovers = self.ready.len() as u64;
         if leftovers > 0 {
             self.report.cancelled += leftovers;
-            self.obs.add("prefetch.cancelled", leftovers);
+            self.obs.cancelled.add(leftovers);
         }
         self.report
     }

@@ -176,7 +176,33 @@ pub struct CacheService {
     /// loses cache *contents*, not measurement history — the training
     /// loop's per-epoch deltas must never go backwards.
     lost_stats: CacheStats,
-    obs: Obs,
+    obs: ServiceObs,
+}
+
+icache_obs::obs_handles! {
+    /// The cluster-level `svc.*` / `dist.*` metrics (the per-node
+    /// families live on each `ServiceNode`).
+    struct ServiceObs {
+        nodes: Gauge = DIST_NODES,
+        remote_hits: Counter = DIST_REMOTE_HITS,
+        directory_removes: Counter = DIST_DIRECTORY_REMOVES,
+        kills: Counter = SVC_KILLS,
+        rejoins: Counter = SVC_REJOINS,
+        rejoin_failures: Counter = SVC_REJOIN_FAILURES,
+        heartbeats_sent: Counter = SVC_HEARTBEATS_SENT,
+        rpc_timeouts: Counter = SVC_RPC_TIMEOUTS,
+        dead_node_fetches: Counter = SVC_DEAD_NODE_FETCHES,
+        repartition_moved: Counter = SVC_REPARTITION_MOVED,
+        repartition_purged: Counter = SVC_REPARTITION_PURGED,
+        race_remote_wins: Counter = SVC_RACE_REMOTE_WINS,
+        race_storage_wins: Counter = SVC_RACE_STORAGE_WINS,
+        index_writes: Counter = SVC_RECOVERY_INDEX_WRITES,
+        warm_restarts: Counter = SVC_RECOVERY_WARM_RESTARTS,
+        cold_restarts: Counter = SVC_RECOVERY_COLD_RESTARTS,
+        restored_samples: Counter = SVC_RECOVERY_RESTORED_SAMPLES,
+        recovery_skipped: Counter = SVC_RECOVERY_SKIPPED,
+        recovery_bytes: Counter = SVC_RECOVERY_BYTES,
+    }
 }
 
 impl CacheService {
@@ -190,6 +216,7 @@ impl CacheService {
         if config.nodes == 0 {
             return Err(Error::invalid_config("nodes", "must be at least 1"));
         }
+        let obs = Obs::noop();
         let nodes = (0..config.nodes)
             .map(|i| {
                 let mut c = config.node_config.clone();
@@ -197,6 +224,7 @@ impl CacheService {
                 Ok(ServiceNode::new(
                     NodeId(i as u32),
                     IcacheManager::new(c, dataset)?,
+                    &obs,
                 ))
             })
             .collect::<Result<Vec<_>>>()?;
@@ -223,7 +251,7 @@ impl CacheService {
             remote_hits: 0,
             remote_bytes: ByteSize::ZERO,
             lost_stats: CacheStats::default(),
-            obs: Obs::noop(),
+            obs: ServiceObs::new(obs),
             dataset: dataset.clone(),
             config,
         })
@@ -320,7 +348,7 @@ impl CacheService {
         }
         self.clock = self.clock.max(now);
         self.retire_manager(i);
-        self.obs.inc("svc.kills");
+        self.obs.kills.inc();
         if self.config.heartbeat.is_some() {
             self.membership.crash(node);
         } else if self.membership.leave(node) {
@@ -332,7 +360,7 @@ impl CacheService {
     /// cluster tally first (measurements survive the process).
     fn retire_manager(&mut self, i: usize) {
         if let Some(m) = self.nodes[i].manager.take() {
-            absorb(&mut self.lost_stats, &m.stats());
+            self.lost_stats += m.stats();
         }
         self.nodes[i].crashed = true;
     }
@@ -368,7 +396,7 @@ impl CacheService {
         let mut c = self.config.node_config.clone();
         c.seed = c.seed.wrapping_add(i as u64);
         let mut manager = IcacheManager::new(c, &self.dataset)?;
-        CacheSystem::set_obs(&mut manager, self.obs.clone());
+        CacheSystem::set_obs(&mut manager, Obs::clone(&self.obs));
         // Pull the current importance view from the coordinator: the
         // crash dropped every H-list push the node missed, and without
         // them the fresh manager would route all hot samples down the L
@@ -383,14 +411,14 @@ impl CacheService {
         self.nodes[i].crashed = false;
         self.next_heartbeat[i] = self.clock;
         self.next_index_write[i] = self.clock;
-        self.obs.inc("svc.rejoins");
+        self.obs.rejoins.inc();
         if self.membership.rejoin(node, self.clock) {
             self.repartition();
         }
         if warm {
             self.warm_restore(node);
         } else {
-            self.obs.inc("svc.recovery.cold_restarts");
+            self.obs.cold_restarts.inc();
         }
         Ok(())
     }
@@ -410,7 +438,7 @@ impl CacheService {
     ) -> (CacheRpcReply, SimTime) {
         self.clock = self.clock.max(now);
         if self.nodes[to.0 as usize].crashed {
-            self.obs.inc("svc.rpc_timeouts");
+            self.obs.rpc_timeouts.inc();
             return (CacheRpcReply::TimedOut, now + self.rpc_timeout());
         }
         let delivered = self.net.express(from, to, rpc, now);
@@ -487,7 +515,7 @@ impl CacheService {
             // Crashed home node: the client reads storage directly and
             // caches nothing.
             _ => {
-                self.obs.inc("svc.dead_node_fetches");
+                self.obs.dead_node_fetches.inc();
                 Fetch {
                     ready_at: storage.read_sample(id, size, now),
                     served_id: id,
@@ -552,8 +580,8 @@ impl CacheService {
         let ready_at = self.net.transfer(owner, NodeId(local as u32), bytes, now);
         self.remote_hits += 1;
         self.remote_bytes += bytes;
-        self.obs.inc(&self.nodes[local].keys.remote_hits);
-        self.obs.inc("dist.remote_hits");
+        self.nodes[local].counters.remote_hits.inc();
+        self.obs.remote_hits.inc();
         self.obs.emit(TraceEvent::RemoteHit {
             job: job.0 as u64,
             sample: id.0,
@@ -575,7 +603,7 @@ impl CacheService {
         now: SimTime,
         storage: &mut dyn StorageBackend,
     ) -> Fetch {
-        self.obs.inc(&self.nodes[local].keys.storage_fetches);
+        self.nodes[local].counters.storage_fetches.inc();
         self.local_fetch(local, job, id, size, now, storage)
     }
 
@@ -616,7 +644,7 @@ impl CacheService {
                         },
                         at,
                     );
-                    self.obs.inc("svc.heartbeats_sent");
+                    self.obs.heartbeats_sent.inc();
                     self.next_heartbeat[i] = at + hb.interval;
                 }
             }
@@ -673,10 +701,10 @@ impl CacheService {
             }
         }
         if purged > 0 {
-            self.obs.add("dist.directory.removes", purged);
+            self.obs.directory_removes.add(purged);
         }
-        self.obs.add("svc.repartition.moved", moved);
-        self.obs.add("svc.repartition.purged", purged);
+        self.obs.repartition_moved.add(moved);
+        self.obs.repartition_purged.add(purged);
         self.obs.emit(TraceEvent::PartitionUpdate {
             version,
             live: live.len() as u64,
@@ -689,7 +717,7 @@ impl CacheService {
     /// skipping samples another live node owns by now (no duplication).
     fn warm_restore(&mut self, node: NodeId) {
         let Some(index) = self.recovery.load(node) else {
-            self.obs.inc("svc.recovery.cold_restarts");
+            self.obs.cold_restarts.inc();
             return;
         };
         let i = node.0 as usize;
@@ -713,10 +741,10 @@ impl CacheService {
             let shard = self.partitioner.owner(*id);
             self.nodes[shard.0 as usize].shard.insert(*id, node);
         }
-        self.obs.inc("svc.recovery.warm_restarts");
-        self.obs.add("svc.recovery.restored_samples", h + l);
-        self.obs.add("svc.recovery.skipped", skipped);
-        self.obs.add("svc.recovery.bytes", bytes.as_u64());
+        self.obs.warm_restarts.inc();
+        self.obs.restored_samples.add(h + l);
+        self.obs.recovery_skipped.add(skipped);
+        self.obs.recovery_bytes.add(bytes.as_u64());
         self.obs.emit(TraceEvent::WarmRecovery {
             node: node.0 as u64,
             restored_h: h,
@@ -739,7 +767,7 @@ impl CacheService {
             entries: manager.residency_snapshot(),
         };
         if self.recovery.save(&index).is_ok() {
-            self.obs.inc("svc.recovery.index_writes");
+            self.obs.index_writes.inc();
         }
     }
 
@@ -791,7 +819,7 @@ impl CacheService {
                 }
                 ChurnEvent::Rejoin { node, warm, .. } => {
                     if self.rejoin_node(node, self.clock, warm).is_err() {
-                        self.obs.inc("svc.rejoin_failures");
+                        self.obs.rejoin_failures.inc();
                     }
                 }
             }
@@ -805,15 +833,12 @@ impl Observable for CacheService {
         // managers, the directory shards, and the cluster-level
         // counters all record into the same registry and trace ring.
         for node in &mut self.nodes {
-            if let Some(m) = node.manager.as_mut() {
-                CacheSystem::set_obs(m, obs.clone());
-            }
-            node.shard.set_obs(obs.clone());
+            node.set_obs(&obs);
         }
-        obs.set_gauge("dist.nodes", self.nodes.len() as f64);
         self.net.set_obs(obs.clone());
         self.membership.set_obs(obs.clone());
-        self.obs = obs;
+        self.obs = ServiceObs::new(obs);
+        self.obs.nodes.set(self.nodes.len() as f64);
     }
 }
 
@@ -839,7 +864,7 @@ impl CacheSystem for CacheService {
         let local = self.node_of(job);
         let me = NodeId(local as u32);
         if self.nodes[local].is_up() && self.nodes[local].contains_cached(id) {
-            self.obs.inc(&self.nodes[local].keys.local_hits);
+            self.nodes[local].counters.local_hits.inc();
             return self.local_fetch(local, job, id, size, now, storage);
         }
         let (lookup, t_dir) = self.shard_rpc(me, CacheRpc::Lookup { sample: id }, now, storage);
@@ -870,11 +895,11 @@ impl CacheSystem for CacheService {
                         let remote_ready =
                             t_remote + self.net.data_link(owner_id, me).transfer_time(bytes);
                         if remote_ready <= hedged.ready_at {
-                            self.obs.inc("svc.race.remote_wins");
+                            self.obs.race_remote_wins.inc();
                             return self.serve_remote(local, owner_id, job, id, bytes, t_remote);
                         }
-                        self.obs.inc("svc.race.storage_wins");
-                        self.obs.inc(&self.nodes[local].keys.storage_fetches);
+                        self.obs.race_storage_wins.inc();
+                        self.nodes[local].counters.storage_fetches.inc();
                         return hedged;
                     }
                     return self.serve_remote(local, owner_id, job, id, bytes, t_dir);
@@ -925,7 +950,7 @@ impl CacheSystem for CacheService {
             let Some(m) = n.manager.as_ref() else {
                 continue;
             };
-            absorb(&mut total, &m.stats());
+            total += m.stats();
         }
         // Peer hits are cache hits of the cluster.
         total.h_hits += self.remote_hits;
@@ -963,20 +988,6 @@ impl CacheSystem for CacheService {
             .map(|m| m.capacity())
             .sum()
     }
-}
-
-/// Field-wise accumulate `s` into `total`.
-fn absorb(total: &mut CacheStats, s: &CacheStats) {
-    total.h_hits += s.h_hits;
-    total.l_hits += s.l_hits;
-    total.pm_hits += s.pm_hits;
-    total.substitutions += s.substitutions;
-    total.misses += s.misses;
-    total.insertions += s.insertions;
-    total.evictions += s.evictions;
-    total.rejections += s.rejections;
-    total.bytes_from_cache += s.bytes_from_cache;
-    total.bytes_from_storage += s.bytes_from_storage;
 }
 
 #[cfg(test)]

@@ -91,21 +91,30 @@ pub struct DirectoryKv {
     /// One slot per sample id up to the largest this shard has hosted:
     /// lookups are one array read, iteration ascends by id.
     map: IdSlab<NodeId>,
-    obs: Obs,
+    obs: DirectoryObs,
+}
+
+icache_obs::obs_handles! {
+    struct DirectoryObs {
+        lookups: Counter = DIST_DIRECTORY_LOOKUPS,
+        inserts: Counter = DIST_DIRECTORY_INSERTS,
+        removes: Counter = DIST_DIRECTORY_REMOVES,
+        remaps: Counter = DIST_DIRECTORY_REMAPS,
+    }
 }
 
 impl Default for DirectoryKv {
     fn default() -> Self {
         DirectoryKv {
             map: IdSlab::new(),
-            obs: Obs::noop(),
+            obs: DirectoryObs::new(Obs::noop()),
         }
     }
 }
 
 impl Observable for DirectoryKv {
     fn set_obs(&mut self, obs: Obs) {
-        self.obs = obs;
+        self.obs = DirectoryObs::new(obs);
     }
 }
 
@@ -125,7 +134,7 @@ impl DirectoryKv {
     pub fn detach(&self) -> Self {
         DirectoryKv {
             map: self.map.clone(),
-            obs: Obs::noop(),
+            obs: DirectoryObs::new(Obs::noop()),
         }
     }
 
@@ -141,7 +150,7 @@ impl DirectoryKv {
 
     /// The node caching `id`, if any.
     pub fn lookup(&self, id: SampleId) -> Option<NodeId> {
-        self.obs.inc("dist.directory.lookups");
+        self.obs.lookups.inc();
         self.map.get(id).copied()
     }
 
@@ -161,11 +170,11 @@ impl DirectoryKv {
         let prev = self.map.insert(id, node);
         match prev {
             None => {
-                self.obs.inc("dist.directory.inserts");
+                self.obs.inserts.inc();
                 DirectoryChange::Inserted
             }
             Some(old) if old != node => {
-                self.obs.inc("dist.directory.remaps");
+                self.obs.remaps.inc();
                 self.obs.emit(TraceEvent::DirectoryRemap {
                     sample: id.0,
                     from_node: old.0 as u64,
@@ -182,7 +191,7 @@ impl DirectoryKv {
     pub fn remove(&mut self, id: SampleId) -> Option<NodeId> {
         let prev = self.map.remove(id);
         if prev.is_some() {
-            self.obs.inc("dist.directory.removes");
+            self.obs.removes.inc();
         }
         prev
     }

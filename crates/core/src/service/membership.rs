@@ -54,12 +54,20 @@ pub struct Membership {
     crashed: Vec<bool>,
     config: HeartbeatConfig,
     version: u64,
-    obs: Obs,
+    obs: MembershipObs,
+}
+
+icache_obs::obs_handles! {
+    struct MembershipObs {
+        alive_transitions: Counter = SVC_MEMBERSHIP_ALIVE_TRANSITIONS,
+        suspects: Counter = SVC_MEMBERSHIP_SUSPECTS,
+        downs: Counter = SVC_MEMBERSHIP_DOWNS,
+    }
 }
 
 impl Observable for Membership {
     fn set_obs(&mut self, obs: Obs) {
-        self.obs = obs;
+        self.obs = MembershipObs::new(obs);
     }
 }
 
@@ -72,7 +80,7 @@ impl Membership {
             crashed: vec![false; n],
             config,
             version: 0,
-            obs: Obs::noop(),
+            obs: MembershipObs::new(Obs::noop()),
         }
     }
 
@@ -187,16 +195,12 @@ impl Membership {
         }
         self.states[i] = to;
         self.version += 1;
-        // The name is picked inside the match, where the contract
-        // checker cannot see it:
-        // lint: metric("svc.membership.alive_transitions")
-        // lint: metric("svc.membership.suspects")
-        // lint: metric("svc.membership.downs")
-        self.obs.inc(match to {
-            NodeState::Alive => "svc.membership.alive_transitions",
-            NodeState::Suspect => "svc.membership.suspects",
-            NodeState::Down => "svc.membership.downs",
-        });
+        match to {
+            NodeState::Alive => &self.obs.alive_transitions,
+            NodeState::Suspect => &self.obs.suspects,
+            NodeState::Down => &self.obs.downs,
+        }
+        .inc();
         self.obs.emit(TraceEvent::MembershipChange {
             node: node.0 as u64,
             state: to.name(),

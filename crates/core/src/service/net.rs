@@ -63,12 +63,21 @@ pub struct SimNet {
     busy: BTreeMap<(u32, u32), SimTime>,
     serialize: bool,
     next_seq: u64,
-    obs: Obs,
+    obs: NetObs,
+}
+
+icache_obs::obs_handles! {
+    struct NetObs {
+        sent: Counter = SVC_NET_SENT,
+        delivered: Counter = SVC_NET_DELIVERED,
+        transfers: Counter = SVC_NET_TRANSFERS,
+        bytes: Counter = SVC_NET_BYTES,
+    }
 }
 
 impl Observable for SimNet {
     fn set_obs(&mut self, obs: Obs) {
-        self.obs = obs;
+        self.obs = NetObs::new(obs);
     }
 }
 
@@ -83,7 +92,7 @@ impl SimNet {
             busy: BTreeMap::new(),
             serialize: false,
             next_seq: 0,
-            obs: Obs::noop(),
+            obs: NetObs::new(Obs::noop()),
         }
     }
 
@@ -127,7 +136,7 @@ impl SimNet {
         }
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.obs.inc("svc.net.sent");
+        self.obs.sent.inc();
         self.queues.entry(key).or_default().push_back(Envelope {
             from,
             to,
@@ -157,8 +166,8 @@ impl SimNet {
             self.busy.insert(key, deliver_at);
         }
         self.next_seq += 1;
-        self.obs.inc("svc.net.sent");
-        self.obs.add("svc.net.delivered", 1);
+        self.obs.sent.inc();
+        self.obs.delivered.inc();
         deliver_at
     }
 
@@ -178,8 +187,8 @@ impl SimNet {
         if self.serialize {
             self.busy.insert(key, done);
         }
-        self.obs.inc("svc.net.transfers");
-        self.obs.add("svc.net.bytes", bytes.as_u64());
+        self.obs.transfers.inc();
+        self.obs.bytes.add(bytes.as_u64());
         done
     }
 
@@ -196,7 +205,7 @@ impl SimNet {
             }
         }
         due.sort_by_key(|e| (e.deliver_at, e.seq));
-        self.obs.add("svc.net.delivered", due.len() as u64);
+        self.obs.delivered.add(due.len() as u64);
         due
     }
 }

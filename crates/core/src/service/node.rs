@@ -9,30 +9,27 @@
 
 use crate::service::{CacheRpc, CacheRpcReply, DirectoryKv, DirectoryOp};
 use crate::{CacheStats, CacheSystem, IcacheManager};
+use icache_obs::{decl, Counter, Obs, Observable};
 use icache_storage::StorageBackend;
 use icache_types::{ByteSize, NodeId, NodeState, SampleId, SimTime};
 
-/// Per-node counter names, pre-rendered so the fetch hot path does not
-/// format strings.
+/// A node's `dist.node{i}.*` fetch-classification counters. Resolving
+/// the same node index again (a new `Obs`, a rejoin) reaches the same
+/// cells, so the counts survive the node's manager.
 #[derive(Debug)]
-pub(crate) struct NodeCounterKeys {
-    pub(crate) local_hits: String,
-    pub(crate) remote_hits: String,
-    pub(crate) storage_fetches: String,
+pub(crate) struct NodeCounters {
+    pub(crate) local_hits: Counter,
+    pub(crate) remote_hits: Counter,
+    pub(crate) storage_fetches: Counter,
 }
 
-impl NodeCounterKeys {
-    /// Counter names are assembled once here and emitted through the
-    /// cached strings, so the contract checker learns them from these
-    /// declarations:
-    // lint: metric("dist.node{*}.local_hits")
-    // lint: metric("dist.node{*}.remote_hits")
-    // lint: metric("dist.node{*}.storage_fetches")
-    pub(crate) fn new(i: usize) -> Self {
-        NodeCounterKeys {
-            local_hits: format!("dist.node{i}.local_hits"),
-            remote_hits: format!("dist.node{i}.remote_hits"),
-            storage_fetches: format!("dist.node{i}.storage_fetches"),
+impl NodeCounters {
+    fn new(obs: &Obs, node: NodeId) -> Self {
+        let i = u64::from(node.0);
+        NodeCounters {
+            local_hits: obs.member(decl::DIST_NODE_LOCAL_HITS, i),
+            remote_hits: obs.member(decl::DIST_NODE_REMOTE_HITS, i),
+            storage_fetches: obs.member(decl::DIST_NODE_STORAGE_FETCHES, i),
         }
     }
 }
@@ -47,18 +44,28 @@ pub(crate) struct ServiceNode {
     pub(crate) shard: DirectoryKv,
     /// Crashed nodes ignore every message until they rejoin.
     pub(crate) crashed: bool,
-    pub(crate) keys: NodeCounterKeys,
+    pub(crate) counters: NodeCounters,
 }
 
 impl ServiceNode {
-    pub(crate) fn new(id: NodeId, manager: IcacheManager) -> Self {
+    pub(crate) fn new(id: NodeId, manager: IcacheManager, obs: &Obs) -> Self {
         ServiceNode {
             id,
             manager: Some(manager),
             shard: DirectoryKv::new(),
             crashed: false,
-            keys: NodeCounterKeys::new(id.0 as usize),
+            counters: NodeCounters::new(obs, id),
         }
+    }
+
+    /// Point the manager, the directory shard and the node's own
+    /// counters at `obs`.
+    pub(crate) fn set_obs(&mut self, obs: &Obs) {
+        if let Some(m) = self.manager.as_mut() {
+            CacheSystem::set_obs(m, obs.clone());
+        }
+        self.shard.set_obs(obs.clone());
+        self.counters = NodeCounters::new(obs, self.id);
     }
 
     /// Whether the node is up and holding a manager.

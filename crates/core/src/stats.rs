@@ -87,6 +87,51 @@ impl CacheStats {
     }
 }
 
+/// Field-wise accumulation (summing nodes, jobs, or one event's delta).
+impl std::ops::AddAssign for CacheStats {
+    fn add_assign(&mut self, s: CacheStats) {
+        self.h_hits += s.h_hits;
+        self.l_hits += s.l_hits;
+        self.pm_hits += s.pm_hits;
+        self.substitutions += s.substitutions;
+        self.misses += s.misses;
+        self.insertions += s.insertions;
+        self.evictions += s.evictions;
+        self.rejections += s.rejections;
+        self.bytes_from_cache += s.bytes_from_cache;
+        self.bytes_from_storage += s.bytes_from_storage;
+    }
+}
+
+icache_obs::obs_handles! {
+    /// The run-wide `cache.*` / `lcache.*` metrics of the shared
+    /// [`Obs`](icache_obs::Obs). Where [`CacheStats`] is one component's
+    /// own resettable ledger (each cluster node has its own), these
+    /// cells sum over every manager attached to the run.
+    pub(crate) struct CacheObs {
+        h_hits: Counter = CACHE_H_HITS,
+        l_hits: Counter = CACHE_L_HITS,
+        pm_hits: Counter = CACHE_PM_HITS,
+        substitutions: Counter = CACHE_SUBSTITUTIONS,
+        misses: Counter = CACHE_MISSES,
+        insertions: Counter = CACHE_INSERTIONS,
+        evictions: Counter = CACHE_EVICTIONS,
+        rejections: Counter = CACHE_REJECTIONS,
+        pm_spills: Counter = CACHE_PM_SPILLS,
+        hit_ratio: Gauge = CACHE_HIT_RATIO,
+        h_capacity: Gauge = CACHE_H_CAPACITY,
+        l_capacity: Gauge = CACHE_L_CAPACITY,
+        fetch: Histogram = CACHE_FETCH,
+        packages_built: Counter = LCACHE_PACKAGES_BUILT,
+        package_bytes: Counter = LCACHE_PACKAGE_BYTES,
+        // Written by the striped concurrent cache only.
+        lock_contention: Counter = CACHE_LOCK_CONTENTION,
+        stripe_count: Gauge = CACHE_STRIPE_COUNT,
+        stripe_h_max_residents: Gauge = CACHE_STRIPE_H_MAX_RESIDENTS,
+        stripe_l_max_residents: Gauge = CACHE_STRIPE_L_MAX_RESIDENTS,
+    }
+}
+
 impl icache_obs::ToJson for CacheStats {
     fn to_json(&self) -> icache_obs::Json {
         icache_obs::json!({

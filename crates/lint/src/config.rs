@@ -27,10 +27,6 @@ pub struct Config {
     pub det_allow: Vec<(String, String)>,
     /// Files exempt from the panic rule: `(path, reason)`.
     pub panic_allow: Vec<(String, String)>,
-    /// The design document holding the §7 metrics + trace-event tables.
-    pub design: String,
-    /// The file whose `=> "name"` match arms define trace-event names.
-    pub event_source: String,
     /// Minimum length of an `expect()` message for it to count as an
     /// invariant statement.
     pub min_expect_message: usize,
@@ -66,8 +62,6 @@ impl Default for Config {
             ],
             det_allow: Vec::new(),
             panic_allow: Vec::new(),
-            design: "DESIGN.md".to_string(),
-            event_source: "crates/obs/src/trace.rs".to_string(),
             min_expect_message: 8,
             lock_order: Vec::new(),
             lock_io_exempt: Vec::new(),
@@ -108,10 +102,6 @@ impl Config {
                             .into_string()?
                             .parse()
                             .map_err(|e| format!("min_expect_message: {e}"))?
-                    }
-                    ("contract", "design") => cfg.design = value.clone().into_string()?,
-                    ("contract", "event_source") => {
-                        cfg.event_source = value.clone().into_string()?
                     }
                     ("locks", "order") => cfg.lock_order = value.clone().into_array()?,
                     ("locks", "io_exempt") => {
@@ -275,7 +265,7 @@ mod tests {
     fn defaults_cover_the_workspace() {
         let c = Config::default();
         assert!(c.det_crates.contains(&"core".to_string()));
-        assert_eq!(c.design, "DESIGN.md");
+        assert_eq!(c.min_expect_message, 8);
     }
 
     #[test]
@@ -292,14 +282,14 @@ allow = [
     "crates/baselines/src/timing.rs: wall-clock is the point",
 ]
 
-[contract]
-design = "DOC.md"
+[panic]
+min_expect_message = "12"
 "#,
         )
         .unwrap();
         assert_eq!(c.roots, vec!["crates", "src"]);
         assert_eq!(c.det_crates, vec!["core"]);
-        assert_eq!(c.design, "DOC.md");
+        assert_eq!(c.min_expect_message, 12);
         assert_eq!(c.det_allow.len(), 1);
         assert_eq!(c.det_allow[0].0, "crates/baselines/src/timing.rs");
         assert_eq!(c.det_allow[0].1, "wall-clock is the point");

@@ -6,7 +6,7 @@ use icache_obs::Json;
 /// One rule violation at one source position.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule family: `determinism`, `panic`, `hygiene`, or `contract`.
+    /// Rule id: one of `KNOWN_RULES`, or `stale-allow`.
     pub rule: &'static str,
     /// Path relative to the scanned root.
     pub path: String,

@@ -6,8 +6,6 @@
 //!
 //! - **determinism** — no unordered collections or ambient entropy in
 //!   crates whose output must be a pure function of `(config, seed)`;
-//! - **contract** — the metric and trace-event names the code emits and
-//!   the names DESIGN.md documents must match exactly, both directions;
 //! - **panic** — library code may not `unwrap()`/`panic!`; `expect()`
 //!   must state the invariant it relies on;
 //! - **hygiene** — `#![forbid(unsafe_code)]` in every crate root, no
@@ -48,7 +46,6 @@ use std::path::Path;
 /// Every rule id an allow hatch may name. `stale-allow` is deliberately
 /// absent: a hatch for the stale-hatch rule would be self-defeating.
 pub const KNOWN_RULES: &[&str] = &[
-    "contract",
     "determinism",
     "hygiene",
     "locks-guard",
@@ -95,8 +92,6 @@ pub fn run_full(root: &Path, cfg: &Config) -> Result<RunReport, String> {
         rules::panic::check(file, cfg, &mut findings);
         rules::hygiene::check(file, cfg, &mut findings);
     }
-    let design_text = std::fs::read_to_string(root.join(&cfg.design)).ok();
-    rules::contract::check(&files, design_text.as_deref(), cfg, &mut findings);
 
     let syntaxes: Vec<syntax::Syntax> = files
         .iter()

@@ -1,9 +1,8 @@
 //! The rule families. Each rule takes a parsed
-//! [`SourceFile`](crate::source::SourceFile) (or, for the contract and
-//! lock rules, the whole workspace) and appends
+//! [`SourceFile`](crate::source::SourceFile) (or, for the lock and
+//! stale-suppression rules, the whole workspace) and appends
 //! [`Finding`](crate::diagnostics::Finding)s.
 
-pub mod contract;
 pub mod determinism;
 pub mod hygiene;
 pub mod locks;

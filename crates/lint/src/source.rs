@@ -5,8 +5,7 @@
 use crate::lexer::{lex, Lexed, TokenKind};
 
 /// What kind of compilation target a file belongs to. Rules scope
-/// themselves by kind: panic-policy only bites `Lib`, the observability
-/// contract also reads `Bin` (driver binaries emit metrics too).
+/// themselves by kind: panic-policy only bites `Lib`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FileKind {
     /// Library code (the default).
@@ -33,16 +32,6 @@ pub struct AllowDirective {
     pub effective_line: u32,
 }
 
-/// A `// lint: metric("name")` declaration for metric names that are
-/// assembled at runtime (e.g. per-node counters built with `format!`).
-#[derive(Debug, Clone)]
-pub struct MetricDecl {
-    /// Declared metric name (may contain `{*}` wildcard segments).
-    pub name: String,
-    /// Line of the declaration.
-    pub line: u32,
-}
-
 /// A lexed file plus derived structure.
 #[derive(Debug)]
 pub struct SourceFile {
@@ -61,8 +50,6 @@ pub struct SourceFile {
     pub test_spans: Vec<(u32, u32)>,
     /// Escape hatches, in source order.
     pub allows: Vec<AllowDirective>,
-    /// Declared dynamic metric names.
-    pub metric_decls: Vec<MetricDecl>,
     /// Malformed `lint:` directives: `(line, problem)`.
     pub bad_directives: Vec<(u32, String)>,
     /// Suppressions that actually fired: `(rule, line)` for inline
@@ -85,7 +72,6 @@ impl SourceFile {
             in_use_decl,
             test_spans,
             allows: Vec::new(),
-            metric_decls: Vec::new(),
             bad_directives: Vec::new(),
             used_allows: Default::default(),
         };
@@ -171,26 +157,10 @@ impl SourceFile {
                     comment_line: c.line,
                     effective_line,
                 });
-            } else if let Some(args) = rest.strip_prefix("metric(") {
-                let inner = args.rfind(')').map(|end| args[..end].trim());
-                match inner {
-                    Some(name)
-                        if name.len() >= 2 && name.starts_with('"') && name.ends_with('"') =>
-                    {
-                        self.metric_decls.push(MetricDecl {
-                            name: name[1..name.len() - 1].to_string(),
-                            line: c.line,
-                        });
-                    }
-                    _ => self.bad_directives.push((
-                        c.line,
-                        "`lint: metric(…)` needs a quoted metric name".to_string(),
-                    )),
-                }
             } else {
                 self.bad_directives.push((
                     c.line,
-                    format!("unknown `lint:` directive `{rest}` (expected allow(…) or metric(…))"),
+                    format!("unknown `lint:` directive `{rest}` (expected allow(…))"),
                 ));
             }
         }
@@ -389,13 +359,6 @@ mod tests {
         let f = file("x(); // lint: allow(determinism)\n");
         assert!(f.allowed("determinism", 1));
         assert!(f.allows[0].reason.is_empty());
-    }
-
-    #[test]
-    fn metric_decls_parse() {
-        let f = file("// lint: metric(\"dist.node{*}.local_hits\")\nlet k = 0;\n");
-        assert_eq!(f.metric_decls.len(), 1);
-        assert_eq!(f.metric_decls[0].name, "dist.node{*}.local_hits");
     }
 
     #[test]

@@ -47,8 +47,8 @@ fn json_report_is_machine_readable() {
     let findings = report["findings"].as_array().expect("findings array");
     assert_eq!(
         findings.len(),
-        17,
-        "2 determinism + 3 panic + 3 hygiene + 4 contract + 1 locks-order \
+        13,
+        "2 determinism + 3 panic + 3 hygiene + 1 locks-order \
          + 1 locks-io + 2 locks-guard + 1 stale-allow"
     );
     for f in findings {
@@ -60,7 +60,6 @@ fn json_report_is_machine_readable() {
     assert_eq!(report["counts"]["determinism"].as_u64(), Some(2));
     assert_eq!(report["counts"]["panic"].as_u64(), Some(3));
     assert_eq!(report["counts"]["hygiene"].as_u64(), Some(3));
-    assert_eq!(report["counts"]["contract"].as_u64(), Some(4));
     assert_eq!(report["counts"]["locks-order"].as_u64(), Some(1));
     assert_eq!(report["counts"]["locks-io"].as_u64(), Some(1));
     assert_eq!(report["counts"]["locks-guard"].as_u64(), Some(2));

@@ -18,10 +18,6 @@ pub fn must(x: Option<u32>) -> u32 {
     x.expect("caller guarantees the key was inserted during setup")
 }
 
-pub fn emit(obs: &Obs) {
-    obs.inc("app.requests");
-}
-
 #[cfg(test)]
 mod tests {
     #[test]

@@ -28,10 +28,6 @@ pub fn debugging(v: u32) -> u32 {
     dbg!(v)
 }
 
-pub fn emit(obs: &Obs) {
-    obs.inc("app.undocumented");
-}
-
 pub fn hatched() -> u32 {
     unreachable!() // lint: allow(panic)
 }

@@ -1,172 +1,187 @@
-//! A lightweight metrics registry: named counters, gauges, and latency
-//! histograms with deterministic (sorted) snapshots.
+//! Metric cells, the typed handles that write them, and the registry
+//! that names them.
 //!
-//! The registry replaces the ad-hoc pattern of hand-computing deltas
-//! between `CacheStats` / `StorageStats` snapshots at every layer: each
-//! layer increments named metrics as events happen, and a single
-//! [`MetricsRegistry::snapshot`] at the end of a run yields one
-//! machine-readable summary.
+//! A cell is shared storage for one metric: an atomic for a counter or
+//! gauge, a small mutex-guarded [`LatencyHistogram`] for a histogram. A
+//! handle ([`Counter`], [`Gauge`], [`Histogram`]) is a clone of the
+//! `Arc` around its cell, so writing through a handle is one O(1) update
+//! with no name lookup and without the registry lock. The [`Registry`]
+//! maps names to the same cells — for resolving handles, for the by-name
+//! accessors on [`Obs`](crate::Obs), and for the sorted snapshot.
 
+use crate::decl::{Kind, METRICS};
 use crate::json::Json;
 use icache_types::{LatencyHistogram, SimDuration};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
-/// Named counters, gauges, and latency histograms.
-///
-/// Keys are free-form dotted names (`"hcache.hits"`, `"storage.degraded_requests"`).
-/// Snapshots iterate in sorted key order, so a snapshot of a given state
-/// is always byte-identical.
-///
-/// # Examples
-///
-/// ```
-/// use icache_obs::MetricsRegistry;
-/// use icache_types::SimDuration;
-///
-/// let mut m = MetricsRegistry::new();
-/// m.inc("cache.h_hits");
-/// m.add("cache.h_hits", 2);
-/// m.set_gauge("cache.hit_ratio", 0.75);
-/// m.observe("fetch", SimDuration::from_micros(120));
-/// assert_eq!(m.counter("cache.h_hits"), 3);
-/// assert_eq!(m.gauge("cache.hit_ratio"), Some(0.75));
-/// assert_eq!(m.histogram("fetch").unwrap().count(), 1);
-/// ```
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct MetricsRegistry {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, LatencyHistogram>,
+/// Handle to a monotone event counter.
+#[derive(Debug, Clone, Default)]
+pub struct Counter(Arc<AtomicU64>);
+
+impl Counter {
+    /// Count one event.
+    pub fn inc(&self) {
+        self.add(1);
+    }
+
+    /// Count `delta` events.
+    pub fn add(&self, delta: u64) {
+        // Relaxed: a statistic; it publishes no other data.
+        self.0.fetch_add(delta, Ordering::Relaxed);
+    }
+
+    /// Current value.
+    pub fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
 }
 
-impl MetricsRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        MetricsRegistry::default()
+/// Bit pattern of a gauge nobody has set: a NaN no arithmetic produces.
+const UNSET: u64 = u64::MAX;
+
+/// Handle to a last-written-value gauge.
+#[derive(Debug, Clone)]
+pub struct Gauge(Arc<AtomicU64>);
+
+impl Default for Gauge {
+    fn default() -> Self {
+        Gauge(Arc::new(AtomicU64::new(UNSET)))
+    }
+}
+
+impl Gauge {
+    /// Overwrite the gauge.
+    pub fn set(&self, value: f64) {
+        self.0.store(value.to_bits(), Ordering::Relaxed);
     }
 
-    /// Increment a counter by one.
-    pub fn inc(&mut self, name: &str) {
-        self.add(name, 1);
-    }
-
-    /// Increment a counter by `delta`.
-    pub fn add(&mut self, name: &str, delta: u64) {
-        if let Some(c) = self.counters.get_mut(name) {
-            *c += delta;
-        } else {
-            self.counters.insert(name.to_string(), delta);
+    /// Last value written, `None` before the first [`Gauge::set`].
+    pub fn get(&self) -> Option<f64> {
+        match self.0.load(Ordering::Relaxed) {
+            UNSET => None,
+            bits => Some(f64::from_bits(bits)),
         }
     }
+}
 
-    /// Current value of a counter (zero when never incremented).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
+/// Handle to a latency histogram.
+#[derive(Debug, Clone, Default)]
+pub struct Histogram {
+    cell: Arc<Mutex<LatencyHistogram>>,
+}
+
+impl Histogram {
+    /// Record one duration.
+    pub fn observe(&self, d: SimDuration) {
+        self.with(|h| h.record(d));
     }
 
-    /// Set a gauge to an absolute value.
-    pub fn set_gauge(&mut self, name: &str, value: f64) {
-        self.gauges.insert(name.to_string(), value);
+    fn with<R>(&self, f: impl FnOnce(&mut LatencyHistogram) -> R) -> R {
+        // A poisoned cell means a recorder panicked between two plain
+        // field updates; the histogram is still a valid histogram.
+        f(&mut self.cell.lock().unwrap_or_else(|e| e.into_inner()))
     }
+}
 
-    /// Current value of a gauge.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).copied()
+/// A handle type the registry can store: picks its own name→cell map.
+pub trait Cell: Clone + Default {
+    #[doc(hidden)]
+    fn cells(registry: &mut Registry) -> &mut BTreeMap<Cow<'static, str>, Self>;
+}
+
+impl Cell for Counter {
+    fn cells(registry: &mut Registry) -> &mut BTreeMap<Cow<'static, str>, Self> {
+        &mut registry.counters
     }
+}
 
-    /// Record a duration into a named histogram.
-    pub fn observe(&mut self, name: &str, d: SimDuration) {
-        if let Some(h) = self.histograms.get_mut(name) {
-            h.record(d);
-        } else {
-            let mut h = LatencyHistogram::new();
-            h.record(d);
-            self.histograms.insert(name.to_string(), h);
-        }
+impl Cell for Gauge {
+    fn cells(registry: &mut Registry) -> &mut BTreeMap<Cow<'static, str>, Self> {
+        &mut registry.gauges
     }
+}
 
-    /// Record many durations into a named histogram with one name lookup.
-    /// Equivalent to calling [`MetricsRegistry::observe`] per duration.
-    pub fn observe_many<I: IntoIterator<Item = SimDuration>>(&mut self, name: &str, ds: I) {
-        let mut ds = ds.into_iter().peekable();
-        if ds.peek().is_none() {
-            return;
-        }
-        if !self.histograms.contains_key(name) {
-            self.histograms
-                .insert(name.to_string(), LatencyHistogram::new());
-        }
-        if let Some(h) = self.histograms.get_mut(name) {
-            for d in ds {
-                h.record(d);
+impl Cell for Histogram {
+    fn cells(registry: &mut Registry) -> &mut BTreeMap<Cow<'static, str>, Self> {
+        &mut registry.histograms
+    }
+}
+
+/// Name → cell, for every declared metric plus whatever family members
+/// and by-name writes added since. Lives under `Obs.inner`.
+#[derive(Debug)]
+pub struct Registry {
+    counters: BTreeMap<Cow<'static, str>, Counter>,
+    gauges: BTreeMap<Cow<'static, str>, Gauge>,
+    histograms: BTreeMap<Cow<'static, str>, Histogram>,
+}
+
+impl Registry {
+    /// A registry holding a zeroed cell for every declared non-family
+    /// metric, so a snapshot's counter set does not depend on which
+    /// components happened to run.
+    pub(crate) fn declared() -> Self {
+        let mut r = Registry {
+            counters: BTreeMap::new(),
+            gauges: BTreeMap::new(),
+            histograms: BTreeMap::new(),
+        };
+        for m in METRICS.iter().filter(|m| !m.is_family()) {
+            let name = Cow::Borrowed(m.name);
+            match m.kind {
+                Kind::Counter => {
+                    r.counters.insert(name, Counter::default());
+                }
+                Kind::Gauge => {
+                    r.gauges.insert(name, Gauge::default());
+                }
+                Kind::Histogram => {
+                    r.histograms.insert(name, Histogram::default());
+                }
             }
         }
+        r
     }
 
-    /// A named histogram, if anything was observed under that name.
-    pub fn histogram(&self, name: &str) -> Option<&LatencyHistogram> {
-        self.histograms.get(name)
-    }
-
-    /// Merge every metric from `other` into this registry: counters add,
-    /// gauges take `other`'s value, histograms merge.
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (name, delta) in &other.counters {
-            self.add(name, *delta);
+    /// Run `f` on the cell called `name`, creating it first if needed.
+    pub(crate) fn with_cell<H: Cell, R>(&mut self, name: &str, f: impl FnOnce(&H) -> R) -> R {
+        let cells = H::cells(self);
+        if let Some(cell) = cells.get(name) {
+            return f(cell);
         }
-        for (name, value) in &other.gauges {
-            self.set_gauge(name, *value);
-        }
-        for (name, hist) in &other.histograms {
-            if let Some(h) = self.histograms.get_mut(name) {
-                h.merge(hist);
-            } else {
-                self.histograms.insert(name.clone(), hist.clone());
-            }
-        }
+        let cell = H::default();
+        let out = f(&cell);
+        cells.insert(Cow::Owned(name.to_string()), cell);
+        out
     }
 
-    /// Forget all metrics.
-    pub fn clear(&mut self) {
-        self.counters.clear();
-        self.gauges.clear();
-        self.histograms.clear();
+    /// Read the cell called `name` without creating it.
+    pub(crate) fn peek<H: Cell, R>(&mut self, name: &str, f: impl FnOnce(&H) -> R) -> Option<R> {
+        H::cells(self).get(name).map(f)
     }
 
-    /// Deterministic JSON snapshot:
+    /// Deterministic JSON snapshot, keys sorted:
     /// `{"counters": {...}, "gauges": {...}, "latency": {name: {count, mean_us, p50_us, p99_us, max_us}}}`.
-    pub fn snapshot(&self) -> Json {
+    /// Every counter is listed (zeros included); a gauge once set; a
+    /// histogram once observed.
+    pub(crate) fn snapshot(&self) -> Json {
         let counters = self
             .counters
             .iter()
-            .map(|(k, v)| (k.clone(), Json::UInt(*v)))
+            .map(|(k, c)| (k.to_string(), Json::UInt(c.get())))
             .collect();
         let gauges = self
             .gauges
             .iter()
-            .map(|(k, v)| (k.clone(), Json::Float(*v)))
+            .filter_map(|(k, g)| Some((k.to_string(), Json::Float(g.get()?))))
             .collect();
         let latency = self
             .histograms
             .iter()
-            .map(|(k, h)| {
-                (
-                    k.clone(),
-                    Json::Obj(vec![
-                        ("count".to_string(), Json::UInt(h.count())),
-                        ("mean_us".to_string(), Json::Float(h.mean().as_micros_f64())),
-                        (
-                            "p50_us".to_string(),
-                            Json::Float(h.quantile(0.5).as_micros_f64()),
-                        ),
-                        (
-                            "p99_us".to_string(),
-                            Json::Float(h.quantile(0.99).as_micros_f64()),
-                        ),
-                        ("max_us".to_string(), Json::Float(h.max().as_micros_f64())),
-                    ]),
-                )
-            })
+            .filter_map(|(k, h)| h.with(|h| (h.count() > 0).then(|| (k.to_string(), latency(h)))))
             .collect();
         Json::Obj(vec![
             ("counters".to_string(), Json::Obj(counters)),
@@ -176,65 +191,67 @@ impl MetricsRegistry {
     }
 }
 
+fn latency(h: &LatencyHistogram) -> Json {
+    let us = |d: SimDuration| Json::Float(d.as_micros_f64());
+    Json::Obj(vec![
+        ("count".to_string(), Json::UInt(h.count())),
+        ("mean_us".to_string(), us(h.mean())),
+        ("p50_us".to_string(), us(h.quantile(0.5))),
+        ("p99_us".to_string(), us(h.quantile(0.99))),
+        ("max_us".to_string(), us(h.max())),
+    ])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn counters_accumulate() {
-        let mut m = MetricsRegistry::new();
-        assert_eq!(m.counter("x"), 0);
-        m.inc("x");
-        m.add("x", 4);
-        assert_eq!(m.counter("x"), 5);
+        let mut r = Registry::declared();
+        assert_eq!(r.peek("x", Counter::get), None);
+        r.with_cell("x", Counter::inc);
+        r.with_cell("x", |c: &Counter| c.add(4));
+        assert_eq!(r.peek("x", Counter::get), Some(5));
     }
 
     #[test]
     fn gauges_overwrite() {
-        let mut m = MetricsRegistry::new();
-        m.set_gauge("g", 1.0);
-        m.set_gauge("g", 2.5);
-        assert_eq!(m.gauge("g"), Some(2.5));
-        assert_eq!(m.gauge("missing"), None);
+        let mut r = Registry::declared();
+        r.with_cell("g", |g: &Gauge| g.set(1.0));
+        r.with_cell("g", |g: &Gauge| g.set(2.5));
+        assert_eq!(r.peek("g", Gauge::get), Some(Some(2.5)));
+        assert_eq!(r.peek("missing", Gauge::get), None);
+        assert_eq!(
+            r.peek("cache.hit_ratio", Gauge::get),
+            Some(None),
+            "declared, never set"
+        );
     }
 
     #[test]
     fn histograms_record_quantiles() {
-        let mut m = MetricsRegistry::new();
+        let h = Histogram::default();
         for us in [10u64, 20, 30, 40, 5_000] {
-            m.observe("fetch", SimDuration::from_micros(us));
+            h.observe(SimDuration::from_micros(us));
         }
-        let h = m.histogram("fetch").unwrap();
-        assert_eq!(h.count(), 5);
-        assert!(h.quantile(0.99) >= SimDuration::from_micros(4_000));
-    }
-
-    #[test]
-    fn merge_combines_all_kinds() {
-        let mut a = MetricsRegistry::new();
-        let mut b = MetricsRegistry::new();
-        a.add("c", 1);
-        b.add("c", 2);
-        b.add("only_b", 7);
-        b.set_gauge("g", 0.5);
-        a.observe("h", SimDuration::from_micros(1));
-        b.observe("h", SimDuration::from_micros(3));
-        a.merge(&b);
-        assert_eq!(a.counter("c"), 3);
-        assert_eq!(a.counter("only_b"), 7);
-        assert_eq!(a.gauge("g"), Some(0.5));
-        assert_eq!(a.histogram("h").unwrap().count(), 2);
+        h.with(|h| {
+            assert_eq!(h.count(), 5);
+            assert!(h.quantile(0.99) >= SimDuration::from_micros(4_000));
+        });
     }
 
     #[test]
     fn snapshot_is_sorted_and_deterministic() {
-        let mut m = MetricsRegistry::new();
-        m.inc("z.last");
-        m.inc("a.first");
-        m.set_gauge("mid", 1.0);
-        m.observe("lat", SimDuration::from_micros(50));
-        let one = m.snapshot().to_string();
-        let two = m.snapshot().to_string();
+        let mut r = Registry::declared();
+        r.with_cell("z.last", Counter::inc);
+        r.with_cell("a.first", Counter::inc);
+        r.with_cell("mid", |g: &Gauge| g.set(1.0));
+        r.with_cell("lat", |h: &Histogram| {
+            h.observe(SimDuration::from_micros(50))
+        });
+        let one = r.snapshot().to_string();
+        let two = r.snapshot().to_string();
         assert_eq!(one, two);
         // Sorted: "a.first" serialized before "z.last".
         assert!(one.find("a.first").unwrap() < one.find("z.last").unwrap());
@@ -242,12 +259,16 @@ mod tests {
     }
 
     #[test]
-    fn clear_resets_everything() {
-        let mut m = MetricsRegistry::new();
-        m.inc("c");
-        m.set_gauge("g", 1.0);
-        m.observe("h", SimDuration::from_micros(1));
-        m.clear();
-        assert_eq!(m, MetricsRegistry::new());
+    fn snapshot_lists_declared_counters_at_zero_but_only_written_gauges_and_histograms() {
+        let snap = Registry::declared().snapshot();
+        let counters = snap["counters"].as_object().unwrap();
+        let declared = METRICS
+            .iter()
+            .filter(|m| m.kind == Kind::Counter && !m.is_family())
+            .count();
+        assert_eq!(counters.len(), declared);
+        assert!(counters.iter().all(|(_, v)| v.as_u64() == Some(0)));
+        assert!(snap["gauges"].as_object().unwrap().is_empty());
+        assert!(snap["latency"].as_object().unwrap().is_empty());
     }
 }

@@ -1,10 +1,8 @@
 //! The [`Observable`] trait: one way to install an [`Obs`] handle.
 //!
-//! Before this trait every instrumented component grew its own
-//! hand-rolled `set_obs(&mut self, obs: Obs)` inherent method with
-//! subtly different doc comments and no shared builder form. Components
-//! that record metrics or trace events now implement `Observable` and
-//! get the `with_obs` builder for free.
+//! Components that record metrics or trace events implement
+//! `Observable` (and get the `with_obs` builder for free); the metrics
+//! they write are declared with [`obs_handles!`](crate::obs_handles).
 
 use crate::trace::Obs;
 
@@ -19,22 +17,30 @@ use crate::trace::Obs;
 /// # Examples
 ///
 /// ```
-/// use icache_obs::{Obs, Observable};
+/// use icache_obs::{obs_handles, Obs, Observable};
+///
+/// obs_handles! {
+///     /// What the layer records.
+///     struct LayerObs {
+///         issued: Counter = PREFETCH_ISSUED,
+///     }
+/// }
 ///
 /// struct Layer {
-///     obs: Obs,
+///     obs: LayerObs,
 /// }
 ///
 /// impl Observable for Layer {
 ///     fn set_obs(&mut self, obs: Obs) {
-///         self.obs = obs;
+///         self.obs = LayerObs::new(obs);
 ///     }
 /// }
 ///
 /// let obs = Obs::new();
-/// let layer = Layer { obs: Obs::noop() }.with_obs(obs.clone());
-/// layer.obs.inc("layer.events");
-/// assert_eq!(obs.counter("layer.events"), 1);
+/// let layer = Layer { obs: LayerObs::new(Obs::noop()) }.with_obs(obs.clone());
+/// layer.obs.issued.inc(); // no name lookup, no `Obs` lock
+/// assert_eq!(obs.counter("prefetch.issued"), 1);
+/// assert_eq!(layer.obs.trace_len(), 0); // `Obs` methods through deref
 /// ```
 pub trait Observable {
     /// Install the shared observability handle, replacing the previous
@@ -49,6 +55,46 @@ pub trait Observable {
         self.set_obs(obs);
         self
     }
+}
+
+/// Declare a component's typed view of an [`Obs`]: the shared handle
+/// plus one resolved write handle (`Counter` / `Gauge` / `Histogram`)
+/// per [`decl`](crate::decl) metric the component records. The struct
+/// derefs to [`Obs`] (for `emit`, and for handing clones on), so a
+/// component keeps one field and replaces it wholesale in `set_obs` —
+/// see the example on [`Observable`].
+#[macro_export]
+macro_rules! obs_handles {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $($field:ident: $handle:ident = $metric:ident),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone)]
+        $vis struct $name {
+            obs: $crate::Obs,
+            $($vis $field: $crate::$handle,)*
+        }
+
+        impl $name {
+            /// Resolve every handle against `obs`.
+            $vis fn new(obs: $crate::Obs) -> Self {
+                $name {
+                    $($field: obs.handle($crate::decl::$metric),)*
+                    obs,
+                }
+            }
+        }
+
+        impl std::ops::Deref for $name {
+            type Target = $crate::Obs;
+            fn deref(&self) -> &$crate::Obs {
+                &self.obs
+            }
+        }
+    };
 }
 
 #[cfg(test)]

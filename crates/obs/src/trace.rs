@@ -2,21 +2,23 @@
 //!
 //! Every layer of the cache stack emits typed [`TraceEvent`]s into a
 //! shared [`Obs`] handle. Events are sequence-numbered in emission order
-//! and stored in a bounded ring buffer ([`TraceBuffer`]); when the buffer
+//! and stored in a bounded ring buffer; when the buffer
 //! is full the *oldest* events are dropped and counted, so a trace is
 //! always a suffix of the full event stream.
 //!
 //! Serialization is canonical (see [`mod@crate::json`]): two runs with the
 //! same configuration and seed produce byte-identical JSONL.
 
+use crate::decl::{Decl, Family};
 use crate::json::Json;
-use crate::metrics::MetricsRegistry;
+use crate::metrics::{Cell, Counter, Gauge, Histogram, Registry};
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Default ring-buffer capacity: enough for several epochs of a
 /// simulated run without unbounded growth.
-pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 16;
+const DEFAULT_TRACE_CAPACITY: usize = 1 << 16;
 
 /// A structured event emitted by one of the cache/storage/sim layers.
 ///
@@ -83,8 +85,9 @@ pub enum TraceEvent {
     /// A read was served by a storage tier operating in brownout
     /// (degraded) mode and took a latency penalty.
     BrownoutDegradedRead {
-        /// Name of the degraded backend (e.g. `"degraded(pfs)"`).
-        backend: String,
+        /// Name of the degraded backend (e.g. `"degraded(pfs)"`); shared,
+        /// so building the event per degraded read allocates nothing.
+        backend: Arc<str>,
         /// Extra latency added by the brownout, in nanoseconds.
         penalty_nanos: u64,
     },
@@ -206,32 +209,50 @@ pub enum TraceEvent {
     },
 }
 
-impl TraceEvent {
-    /// Short machine-readable event name (the `"event"` field in JSONL).
-    pub fn name(&self) -> &'static str {
-        match self {
-            TraceEvent::HHit { .. } => "h_hit",
-            TraceEvent::LHit { .. } => "l_hit",
-            TraceEvent::Substitution { .. } => "substitution",
-            TraceEvent::Miss { .. } => "miss",
-            TraceEvent::Eviction { .. } => "eviction",
-            TraceEvent::SpillToPm { .. } => "spill_to_pm",
-            TraceEvent::PackageBuild { .. } => "package_build",
-            TraceEvent::BrownoutDegradedRead { .. } => "brownout_degraded_read",
-            TraceEvent::RegionRebalance { .. } => "region_rebalance",
-            TraceEvent::ShadowHeapRefill { .. } => "shadow_heap_refill",
-            TraceEvent::EpochStart { .. } => "epoch_start",
-            TraceEvent::EpochEnd { .. } => "epoch_end",
-            TraceEvent::RemoteHit { .. } => "remote_hit",
-            TraceEvent::DirectoryRemap { .. } => "directory_remap",
-            TraceEvent::MembershipChange { .. } => "membership_change",
-            TraceEvent::PartitionUpdate { .. } => "partition_update",
-            TraceEvent::WarmRecovery { .. } => "warm_recovery",
-            TraceEvent::PrefetchIssue { .. } => "prefetch_issue",
-            TraceEvent::PrefetchLate { .. } => "prefetch_late",
-        }
-    }
+/// Declares each variant's JSONL `event` name and the moment it is
+/// emitted, once: [`TraceEvent::name`] and [`TraceEvent::EVENTS`] (hence
+/// DESIGN.md §7's table) both come from this list, and the exhaustive
+/// match makes an undeclared variant a compile error.
+macro_rules! events {
+    ($($variant:ident => $name:literal: $when:literal,)*) => {
+        impl TraceEvent {
+            /// Short machine-readable event name (the `"event"` field in JSONL).
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $(TraceEvent::$variant { .. } => $name,)*
+                }
+            }
 
+            /// Every event name with the moment it is emitted, in
+            /// DESIGN.md §7 order.
+            pub const EVENTS: &'static [(&'static str, &'static str)] = &[$(($name, $when)),*];
+        }
+    };
+}
+
+events! {
+    HHit => "h_hit": "a request is served from the H-region (or promoted back from the PM tier)",
+    LHit => "l_hit": "a request is served from the L-region",
+    Substitution => "substitution": "a request is served by substituting a different cached sample",
+    Miss => "miss": "a request falls through to storage",
+    Eviction => "eviction": "a sample leaves the H-region",
+    SpillToPm => "spill_to_pm": "an evicted H-sample is written into the PM victim tier",
+    PackageBuild => "package_build": "the L-region loader assembles a package",
+    BrownoutDegradedRead => "brownout_degraded_read": "a storage read is served while browned out",
+    RegionRebalance => "region_rebalance": "the H/L capacity split is recomputed at an epoch boundary",
+    ShadowHeapRefill => "shadow_heap_refill": "a fresh H-list opens a shadow-heap refresh window",
+    EpochStart => "epoch_start": "a training epoch begins (rank 0 only; see Epoch markers)",
+    EpochEnd => "epoch_end": "a training epoch finishes (rank 0 only; see Epoch markers)",
+    RemoteHit => "remote_hit": "a distributed fetch is served by a peer node",
+    DirectoryRemap => "directory_remap": "a directory insert overwrites a mapping to a different node, or a repartition rehomes an entry",
+    MembershipChange => "membership_change": "the failure detector moves a node between alive / suspect / down",
+    PartitionUpdate => "partition_update": "a membership change rebuilds the partition map (carries the version, live count, and moved/purged totals)",
+    WarmRecovery => "warm_recovery": "a rejoining node replays its recovery index (restored H/L counts and skipped entries)",
+    PrefetchIssue => "prefetch_issue": "the clairvoyant prefetcher issues a plan position ahead of the consumer (§11)",
+    PrefetchLate => "prefetch_late": "a consumer arrives before its prefetch completes and stalls (carries the wait in nanoseconds)",
+}
+
+impl TraceEvent {
     /// The event as a JSON object including its sequence number.
     pub fn to_json(&self, seq: u64) -> Json {
         let mut fields = vec![
@@ -275,7 +296,7 @@ impl TraceEvent {
                 backend,
                 penalty_nanos,
             } => {
-                fields.push(("backend".to_string(), Json::Str(backend.clone())));
+                fields.push(("backend".to_string(), Json::Str(backend.to_string())));
                 fields.push(("penalty_nanos".to_string(), Json::UInt(*penalty_nanos)));
             }
             TraceEvent::RegionRebalance {
@@ -377,8 +398,8 @@ impl TraceEvent {
 }
 
 /// A bounded ring buffer of sequence-numbered [`TraceEvent`]s.
-#[derive(Debug, Clone, Default)]
-pub struct TraceBuffer {
+#[derive(Debug)]
+pub(crate) struct TraceBuffer {
     events: VecDeque<(u64, TraceEvent)>,
     capacity: usize,
     next_seq: u64,
@@ -388,7 +409,7 @@ pub struct TraceBuffer {
 impl TraceBuffer {
     /// A buffer retaining at most `capacity` events (zero disables
     /// retention entirely while still counting sequence numbers).
-    pub fn with_capacity(capacity: usize) -> Self {
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
         TraceBuffer {
             events: VecDeque::new(),
             capacity,
@@ -399,7 +420,7 @@ impl TraceBuffer {
 
     /// Append an event, evicting the oldest if full. Returns the
     /// event's sequence number.
-    pub fn push(&mut self, event: TraceEvent) -> u64 {
+    pub(crate) fn push(&mut self, event: TraceEvent) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
         if self.capacity == 0 {
@@ -415,34 +436,29 @@ impl TraceBuffer {
     }
 
     /// Number of retained events.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.events.len()
-    }
-
-    /// True when no events are retained.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
     }
 
     /// Number of events that fell out of the ring (or were never
     /// retained, for a zero-capacity buffer).
-    pub fn dropped(&self) -> u64 {
+    pub(crate) fn dropped(&self) -> u64 {
         self.dropped
     }
 
     /// Total number of events ever pushed.
-    pub fn emitted(&self) -> u64 {
+    pub(crate) fn emitted(&self) -> u64 {
         self.next_seq
     }
 
     /// Iterate retained `(seq, event)` pairs oldest-first.
-    pub fn iter(&self) -> impl Iterator<Item = &(u64, TraceEvent)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &(u64, TraceEvent)> {
         self.events.iter()
     }
 
     /// Serialize retained events as JSON Lines (one canonical object per
     /// line, trailing newline after each).
-    pub fn to_jsonl(&self) -> String {
+    pub(crate) fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for (seq, event) in &self.events {
             out.push_str(&event.to_json(*seq).to_string());
@@ -450,43 +466,47 @@ impl TraceBuffer {
         }
         out
     }
-
-    /// Forget retained events and counters (sequence numbers restart).
-    pub fn clear(&mut self) {
-        self.events.clear();
-        self.next_seq = 0;
-        self.dropped = 0;
-    }
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct ObsInner {
-    metrics: MetricsRegistry,
+    registry: Registry,
     trace: TraceBuffer,
 }
 
-/// Shared observability handle: a metrics registry plus a trace buffer
+/// Shared observability handle: the metric registry plus a trace ring
 /// behind one cheaply clonable reference.
 ///
 /// Every layer that participates in a run holds a clone of the same
-/// `Obs`; cloning shares state.
+/// `Obs`; cloning shares state. Components write metrics through typed
+/// handles resolved once from the declaration ([`Obs::handle`],
+/// [`Obs::member`]; see [`obs_handles!`](crate::obs_handles)) — a handle
+/// write never takes the `Obs` lock. The by-name methods (`inc`,
+/// `observe`, `counter`, `gauge`) reach the same cells through a name
+/// lookup under the lock; they are for reports, tests and the benchmark.
 ///
 /// # Examples
 ///
 /// ```
-/// use icache_obs::{Obs, TraceEvent};
+/// use icache_obs::{decl, Obs, TraceEvent};
 ///
 /// let obs = Obs::new();
-/// let layer = obs.clone(); // same underlying buffers
+/// let layer = obs.clone(); // same underlying cells and ring
+/// let h_hits = layer.handle(decl::CACHE_H_HITS);
 /// layer.emit(TraceEvent::HHit { job: 0, sample: 42 });
-/// layer.inc("cache.h_hits");
+/// h_hits.inc();
 /// assert_eq!(obs.trace_len(), 1);
 /// assert_eq!(obs.counter("cache.h_hits"), 1);
 /// assert!(obs.trace_jsonl().starts_with(r#"{"seq":0,"event":"h_hit""#));
 /// ```
 #[derive(Debug, Clone)]
 pub struct Obs {
+    /// Guards name registration, snapshots and the trace ring — never a
+    /// handle write.
     inner: Arc<Mutex<ObsInner>>,
+    /// Present on a zero-capacity handle ([`Obs::noop`]): `emit` then
+    /// only counts here and never touches `inner`.
+    untraced: Option<Arc<AtomicU64>>,
 }
 
 impl Default for Obs {
@@ -502,12 +522,13 @@ impl Obs {
     }
 
     /// A handle retaining at most `capacity` trace events.
-    pub fn with_trace_capacity(capacity: usize) -> Self {
+    pub(crate) fn with_trace_capacity(capacity: usize) -> Self {
         Obs {
             inner: Arc::new(Mutex::new(ObsInner {
-                metrics: MetricsRegistry::new(),
+                registry: Registry::declared(),
                 trace: TraceBuffer::with_capacity(capacity),
             })),
+            untraced: (capacity == 0).then(Arc::default),
         }
     }
 
@@ -523,50 +544,49 @@ impl Obs {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Emit a trace event; returns its sequence number.
+    /// The write handle of a declared metric. Resolve once (at
+    /// construction or in `set_obs`), then write through the handle.
+    pub fn handle<H: Cell>(&self, metric: Decl<H>) -> H {
+        self.lock().registry.with_cell(metric.0, H::clone)
+    }
+
+    /// The write handle of member `index` of a declared family; the
+    /// same index always resolves to the same cell.
+    pub fn member<H: Cell>(&self, family: Family<H>, index: u64) -> H {
+        self.lock()
+            .registry
+            .with_cell(&family.member_name(index), H::clone)
+    }
+
+    /// Emit a trace event; returns its sequence number. On a
+    /// zero-capacity handle this is one relaxed counter bump.
     pub fn emit(&self, event: TraceEvent) -> u64 {
-        self.lock().trace.push(event)
+        match &self.untraced {
+            Some(n) => n.fetch_add(1, Ordering::Relaxed),
+            None => self.lock().trace.push(event),
+        }
     }
 
-    /// Increment a named counter by one.
+    /// Increment a counter by name.
     pub fn inc(&self, name: &str) {
-        self.lock().metrics.inc(name);
+        self.lock().registry.with_cell(name, Counter::inc);
     }
 
-    /// Increment a named counter by `delta`.
-    pub fn add(&self, name: &str, delta: u64) {
-        self.lock().metrics.add(name, delta);
-    }
-
-    /// Read a named counter.
+    /// Read a counter by name (zero when nothing has that name).
     pub fn counter(&self, name: &str) -> u64 {
-        self.lock().metrics.counter(name)
+        self.lock().registry.peek(name, Counter::get).unwrap_or(0)
     }
 
-    /// Set a named gauge.
-    pub fn set_gauge(&self, name: &str, value: f64) {
-        self.lock().metrics.set_gauge(name, value);
-    }
-
-    /// Read a named gauge.
+    /// Read a gauge by name (`None` until it is first set).
     pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.lock().metrics.gauge(name)
+        self.lock().registry.peek(name, Gauge::get).flatten()
     }
 
-    /// Record a duration into a named latency histogram.
+    /// Record a duration into a latency histogram by name.
     pub fn observe(&self, name: &str, d: icache_types::SimDuration) {
-        self.lock().metrics.observe(name, d);
-    }
-
-    /// Record many durations into a named latency histogram under one
-    /// lock acquisition (the bulk-loader path records hundreds of
-    /// per-sample latencies per package build).
-    pub fn observe_many<I: IntoIterator<Item = icache_types::SimDuration>>(
-        &self,
-        name: &str,
-        ds: I,
-    ) {
-        self.lock().metrics.observe_many(name, ds);
+        self.lock()
+            .registry
+            .with_cell(name, |h: &Histogram| h.observe(d));
     }
 
     /// Number of retained trace events.
@@ -576,12 +596,18 @@ impl Obs {
 
     /// Number of trace events dropped by the ring buffer.
     pub fn trace_dropped(&self) -> u64 {
-        self.lock().trace.dropped()
+        match &self.untraced {
+            Some(n) => n.load(Ordering::Relaxed),
+            None => self.lock().trace.dropped(),
+        }
     }
 
     /// Total trace events emitted over the lifetime of the handle.
     pub fn trace_emitted(&self) -> u64 {
-        self.lock().trace.emitted()
+        match &self.untraced {
+            Some(n) => n.load(Ordering::Relaxed),
+            None => self.lock().trace.emitted(),
+        }
     }
 
     /// The retained trace as canonical JSON Lines.
@@ -605,25 +631,14 @@ impl Obs {
 
     /// Deterministic JSON snapshot of the metrics registry.
     pub fn metrics_snapshot(&self) -> Json {
-        self.lock().metrics.snapshot()
-    }
-
-    /// Run a closure against the metrics registry (for bulk updates).
-    pub fn with_metrics<R>(&self, f: impl FnOnce(&mut MetricsRegistry) -> R) -> R {
-        f(&mut self.lock().metrics)
-    }
-
-    /// Reset both the metrics registry and the trace buffer.
-    pub fn reset(&self) {
-        let mut inner = self.lock();
-        inner.metrics.clear();
-        inner.trace.clear();
+        self.lock().registry.snapshot()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decl;
 
     #[test]
     fn ring_buffer_drops_oldest() {
@@ -642,7 +657,7 @@ mod tests {
     fn zero_capacity_counts_but_retains_nothing() {
         let mut buf = TraceBuffer::with_capacity(0);
         buf.push(TraceEvent::HHit { job: 1, sample: 2 });
-        assert!(buf.is_empty());
+        assert_eq!(buf.len(), 0);
         assert_eq!(buf.dropped(), 1);
         assert_eq!(buf.emitted(), 1);
         assert_eq!(buf.to_jsonl(), "");
@@ -774,16 +789,54 @@ mod tests {
         let obs = Obs::new();
         let other = obs.clone();
         other.emit(TraceEvent::Miss { job: 3, sample: 4 });
-        other.add("misses", 2);
-        other.set_gauge("ratio", 0.5);
+        other.inc("misses");
+        other.handle(decl::CACHE_HIT_RATIO).set(0.5);
         other.observe("lat", icache_types::SimDuration::from_micros(5));
         assert_eq!(obs.trace_len(), 1);
-        assert_eq!(obs.counter("misses"), 2);
-        assert_eq!(obs.gauge("ratio"), Some(0.5));
+        assert_eq!(obs.counter("misses"), 1);
+        assert_eq!(obs.gauge("cache.hit_ratio"), Some(0.5));
         assert_eq!(obs.trace_event_counts(), vec![("miss".to_string(), 1)]);
-        obs.reset();
-        assert_eq!(other.trace_len(), 0);
-        assert_eq!(other.counter("misses"), 0);
+    }
+
+    #[test]
+    fn handles_and_names_reach_the_same_cells() {
+        let obs = Obs::new();
+        let hits = obs.handle(decl::CACHE_H_HITS);
+        hits.inc();
+        obs.inc("cache.h_hits");
+        assert_eq!(obs.counter("cache.h_hits"), 2);
+        assert_eq!(hits.get(), 2);
+        // A family member resolved twice is one cell.
+        obs.member(decl::DIST_NODE_LOCAL_HITS, 1).add(3);
+        obs.member(decl::DIST_NODE_LOCAL_HITS, 1).inc();
+        assert_eq!(obs.counter("dist.node1.local_hits"), 4);
+        assert_eq!(obs.counter("dist.node0.local_hits"), 0);
+        obs.handle(decl::CACHE_HIT_RATIO).set(0.25);
+        assert_eq!(obs.gauge("cache.hit_ratio"), Some(0.25));
+        assert_eq!(obs.gauge("cache.h_capacity"), None, "declared, never set");
+        obs.handle(decl::CACHE_FETCH)
+            .observe(icache_types::SimDuration::from_micros(7));
+        let snap = obs.metrics_snapshot();
+        assert_eq!(snap["latency"]["cache.fetch"]["count"].as_u64(), Some(1));
+        assert_eq!(snap["counters"]["cache.h_hits"].as_u64(), Some(2));
+    }
+
+    #[test]
+    fn the_fetch_path_never_waits_for_the_registry_lock() {
+        // Hold `Obs.inner` on this thread for the whole test: a handle
+        // write or a noop emit that needed it would deadlock right here.
+        let obs = Obs::noop();
+        let (hits, fetch) = (
+            obs.handle(decl::CACHE_H_HITS),
+            obs.handle(decl::CACHE_FETCH),
+        );
+        let guard = obs.lock();
+        hits.inc();
+        fetch.observe(icache_types::SimDuration::from_micros(3));
+        assert_eq!(obs.emit(TraceEvent::HHit { job: 0, sample: 0 }), 0);
+        assert_eq!(obs.trace_emitted(), 1);
+        drop(guard);
+        assert_eq!(obs.counter("cache.h_hits"), 1);
     }
 
     #[test]

@@ -48,9 +48,9 @@ pub trait StorageBackend {
     /// order. Returns the completion instant of the last-finishing read.
     ///
     /// Semantically identical to calling [`StorageBackend::read_sample`]
-    /// once per entry (the default does exactly that); backends may
-    /// override it to amortise per-call accounting on bulk-loader paths
-    /// that issue hundreds of reads per package build.
+    /// once per entry (the default does exactly that); the entry point
+    /// of bulk-loader paths that issue hundreds of reads per package
+    /// build.
     fn read_samples(&mut self, reqs: &[(SampleId, ByteSize)], now: SimTime) -> SimTime {
         let mut ready = now;
         for &(id, size) in reqs {

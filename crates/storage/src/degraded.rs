@@ -8,6 +8,7 @@
 
 use crate::{StorageBackend, StorageStats};
 use icache_types::{ByteSize, Error, Result, SampleId, SimDuration, SimTime};
+use std::sync::Arc;
 
 /// Configuration of the brownout schedule.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -32,6 +33,12 @@ impl BrownoutConfig {
             ));
         }
         Ok(())
+    }
+}
+
+icache_obs::obs_handles! {
+    struct DegradedObs {
+        degraded_requests: Counter = STORAGE_DEGRADED_REQUESTS,
     }
 }
 
@@ -69,8 +76,10 @@ pub struct DegradedStorage<B> {
     inner: B,
     config: BrownoutConfig,
     degraded_requests: u64,
-    name: String,
-    obs: icache_obs::Obs,
+    /// Shared with every `brownout_degraded_read` event, so tracing a
+    /// degraded read never copies the name.
+    name: Arc<str>,
+    obs: DegradedObs,
 }
 
 impl<B: StorageBackend> DegradedStorage<B> {
@@ -82,13 +91,13 @@ impl<B: StorageBackend> DegradedStorage<B> {
     /// longer than the period.
     pub fn new(inner: B, config: BrownoutConfig) -> Result<Self> {
         config.validate()?;
-        let name = format!("degraded({})", inner.name());
+        let name = format!("degraded({})", inner.name()).into();
         Ok(DegradedStorage {
             inner,
             config,
             degraded_requests: 0,
             name,
-            obs: icache_obs::Obs::noop(),
+            obs: DegradedObs::new(icache_obs::Obs::noop()),
         })
     }
 
@@ -110,9 +119,9 @@ impl<B: StorageBackend> DegradedStorage<B> {
     fn penalty(&mut self, now: SimTime) -> SimDuration {
         if self.in_brownout(now) {
             self.degraded_requests += 1;
-            self.obs.inc("storage.degraded_requests");
+            self.obs.degraded_requests.inc();
             self.obs.emit(icache_obs::TraceEvent::BrownoutDegradedRead {
-                backend: self.name.clone(),
+                backend: Arc::clone(&self.name),
                 penalty_nanos: self.config.extra_latency.as_nanos(),
             });
             self.config.extra_latency
@@ -146,7 +155,7 @@ impl<B: StorageBackend> StorageBackend for DegradedStorage<B> {
     }
 
     fn set_obs(&mut self, obs: icache_obs::Obs) {
-        self.obs = obs.clone();
+        self.obs = DegradedObs::new(obs.clone());
         self.inner.set_obs(obs);
     }
 
@@ -241,6 +250,18 @@ mod tests {
             "{jsonl}"
         );
         assert!(jsonl.contains(r#""backend":"degraded(tmpfs)""#), "{jsonl}");
+    }
+
+    #[test]
+    fn a_browned_out_read_under_a_noop_handle_is_counted_but_not_retained() {
+        let mut f = flaky();
+        let obs = icache_obs::Obs::noop();
+        f.set_obs(obs.clone());
+        f.read_sample(SampleId(0), ByteSize::kib(3), SimTime::ZERO); // in window
+        assert_eq!(obs.counter("storage.degraded_requests"), 1);
+        assert_eq!((obs.trace_emitted(), obs.trace_len()), (1, 0));
+        // The event shares the backend's name instead of copying it.
+        assert_eq!(Arc::strong_count(&f.name), 1, "nothing retained a clone");
     }
 
     #[test]

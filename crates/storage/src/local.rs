@@ -4,6 +4,7 @@
 //! local DRAM tmpfs and once from the remote PFS; these tiers model the
 //! local cases.
 
+use crate::stats::ReadLedger;
 use crate::{FifoResource, StorageBackend, StorageStats};
 use icache_types::{ByteSize, Error, Result, SampleId, SimDuration, SimTime};
 
@@ -56,8 +57,7 @@ impl LocalTierConfig {
 pub struct LocalTier {
     config: LocalTierConfig,
     channels: Vec<FifoResource>,
-    stats: StorageStats,
-    obs: icache_obs::Obs,
+    ledger: ReadLedger,
 }
 
 impl LocalTier {
@@ -71,9 +71,8 @@ impl LocalTier {
         config.validate()?;
         Ok(LocalTier {
             channels: vec![FifoResource::new(); config.channels],
-            stats: StorageStats::default(),
+            ledger: ReadLedger::new(),
             config,
-            obs: icache_obs::Obs::noop(),
         })
     }
 
@@ -130,35 +129,27 @@ impl StorageBackend for LocalTier {
     fn read_sample(&mut self, _id: SampleId, size: ByteSize, now: SimTime) -> SimTime {
         let service = self.service(size);
         let done = self.submit(now, service);
-        let latency = done.saturating_since(now);
-        self.stats.record_sample(size, latency);
-        self.obs.inc("storage.sample_reads");
-        self.obs.add("storage.sample_bytes", size.as_u64());
-        self.obs.observe("storage.sample_read", latency);
+        self.ledger.record_sample(size, done.saturating_since(now));
         done
     }
 
     fn read_package(&mut self, size: ByteSize, now: SimTime) -> SimTime {
         let service = self.service(size);
         let done = self.submit(now, service);
-        let latency = done.saturating_since(now);
-        self.stats.record_package(size, latency);
-        self.obs.inc("storage.package_reads");
-        self.obs.add("storage.package_bytes", size.as_u64());
-        self.obs.observe("storage.package_read", latency);
+        self.ledger.record_package(size, done.saturating_since(now));
         done
     }
 
     fn stats(&self) -> StorageStats {
-        self.stats
+        self.ledger.stats
     }
 
     fn set_obs(&mut self, obs: icache_obs::Obs) {
-        self.obs = obs;
+        self.ledger.set_obs(obs);
     }
 
     fn reset_stats(&mut self) {
-        self.stats = StorageStats::default();
+        self.ledger.stats = StorageStats::default();
         for c in &mut self.channels {
             c.reset_stats();
         }

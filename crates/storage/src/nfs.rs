@@ -1,5 +1,6 @@
 //! NFS server model (used by the distributed experiments, paper §V-G).
 
+use crate::stats::ReadLedger;
 use crate::{StorageBackend, StorageStats, TimelineResource};
 use icache_types::{ByteSize, Error, Result, SampleId, SimDuration, SimTime};
 
@@ -55,8 +56,7 @@ impl NfsConfig {
 pub struct Nfs {
     config: NfsConfig,
     server: TimelineResource,
-    stats: StorageStats,
-    obs: icache_obs::Obs,
+    ledger: ReadLedger,
 }
 
 impl Nfs {
@@ -70,8 +70,7 @@ impl Nfs {
         Ok(Nfs {
             config,
             server: TimelineResource::new(),
-            stats: StorageStats::default(),
-            obs: icache_obs::Obs::noop(),
+            ledger: ReadLedger::new(),
         })
     }
 
@@ -94,35 +93,27 @@ impl StorageBackend for Nfs {
     fn read_sample(&mut self, _id: SampleId, size: ByteSize, now: SimTime) -> SimTime {
         let service = self.service(size);
         let done = self.server.submit(now, service);
-        let latency = done.saturating_since(now);
-        self.stats.record_sample(size, latency);
-        self.obs.inc("storage.sample_reads");
-        self.obs.add("storage.sample_bytes", size.as_u64());
-        self.obs.observe("storage.sample_read", latency);
+        self.ledger.record_sample(size, done.saturating_since(now));
         done
     }
 
     fn read_package(&mut self, size: ByteSize, now: SimTime) -> SimTime {
         let service = self.service(size);
         let done = self.server.submit(now, service);
-        let latency = done.saturating_since(now);
-        self.stats.record_package(size, latency);
-        self.obs.inc("storage.package_reads");
-        self.obs.add("storage.package_bytes", size.as_u64());
-        self.obs.observe("storage.package_read", latency);
+        self.ledger.record_package(size, done.saturating_since(now));
         done
     }
 
     fn stats(&self) -> StorageStats {
-        self.stats
+        self.ledger.stats
     }
 
     fn set_obs(&mut self, obs: icache_obs::Obs) {
-        self.obs = obs;
+        self.ledger.set_obs(obs);
     }
 
     fn reset_stats(&mut self) {
-        self.stats = StorageStats::default();
+        self.ledger.stats = StorageStats::default();
         self.server.reset_stats();
     }
 }

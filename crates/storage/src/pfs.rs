@@ -1,5 +1,6 @@
 //! OrangeFS-like parallel file system model.
 
+use crate::stats::ReadLedger;
 use crate::{StorageBackend, StorageStats, TimelineResource};
 use icache_types::{splitmix64, ByteSize, Error, Result, SampleId, SimDuration, SimTime};
 
@@ -85,9 +86,8 @@ pub struct Pfs {
     config: PfsConfig,
     servers: Vec<TimelineResource>,
     client_link: TimelineResource,
-    stats: StorageStats,
+    ledger: ReadLedger,
     name: String,
-    obs: icache_obs::Obs,
     /// One-entry memo of the pure size→service arithmetic in
     /// [`Pfs::striped_read`]: `(bytes, servers_touched, per-server
     /// service, client-link service)`. Bulk loaders read one fixed
@@ -109,10 +109,9 @@ impl Pfs {
         Ok(Pfs {
             servers: vec![TimelineResource::new(); config.num_servers],
             client_link: TimelineResource::new(),
-            stats: StorageStats::default(),
+            ledger: ReadLedger::new(),
             config,
             name,
-            obs: icache_obs::Obs::noop(),
             plan_memo: None,
         })
     }
@@ -185,63 +184,30 @@ impl StorageBackend for Pfs {
     fn read_sample(&mut self, id: SampleId, size: ByteSize, now: SimTime) -> SimTime {
         let first = self.home_server(id);
         let done = self.striped_read(first, size, now);
-        let latency = done.saturating_since(now);
-        self.stats.record_sample(size, latency);
-        self.obs.inc("storage.sample_reads");
-        self.obs.add("storage.sample_bytes", size.as_u64());
-        self.obs.observe("storage.sample_read", latency);
+        self.ledger.record_sample(size, done.saturating_since(now));
         done
-    }
-
-    fn read_samples(&mut self, reqs: &[(SampleId, ByteSize)], now: SimTime) -> SimTime {
-        // Same queueing arithmetic as per-call `read_sample`, in the same
-        // order — only the observability accounting is batched: one
-        // registry lock per package build instead of three per sample.
-        if reqs.is_empty() {
-            return now;
-        }
-        let mut ready = now;
-        let mut total = ByteSize::ZERO;
-        let mut latencies = Vec::with_capacity(reqs.len());
-        for &(id, size) in reqs {
-            let first = self.home_server(id);
-            let done = self.striped_read(first, size, now);
-            let latency = done.saturating_since(now);
-            self.stats.record_sample(size, latency);
-            total += size;
-            latencies.push(latency);
-            ready = ready.max(done);
-        }
-        self.obs.add("storage.sample_reads", reqs.len() as u64);
-        self.obs.add("storage.sample_bytes", total.as_u64());
-        self.obs.observe_many("storage.sample_read", latencies);
-        ready
     }
 
     fn read_package(&mut self, size: ByteSize, now: SimTime) -> SimTime {
         // Packages are written contiguously and striped across all servers;
         // the starting server rotates with the package counter so load
         // spreads even for small packages.
-        let first = (self.stats.package_reads as usize) % self.config.num_servers;
+        let first = (self.ledger.stats.package_reads as usize) % self.config.num_servers;
         let done = self.striped_read(first, size, now);
-        let latency = done.saturating_since(now);
-        self.stats.record_package(size, latency);
-        self.obs.inc("storage.package_reads");
-        self.obs.add("storage.package_bytes", size.as_u64());
-        self.obs.observe("storage.package_read", latency);
+        self.ledger.record_package(size, done.saturating_since(now));
         done
     }
 
     fn stats(&self) -> StorageStats {
-        self.stats
+        self.ledger.stats
     }
 
     fn set_obs(&mut self, obs: icache_obs::Obs) {
-        self.obs = obs;
+        self.ledger.set_obs(obs);
     }
 
     fn reset_stats(&mut self) {
-        self.stats = StorageStats::default();
+        self.ledger.stats = StorageStats::default();
         for s in &mut self.servers {
             s.reset_stats();
         }

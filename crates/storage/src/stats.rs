@@ -62,6 +62,56 @@ impl StorageStats {
     }
 }
 
+icache_obs::obs_handles! {
+    /// The run-wide `storage.*` metrics every backend records into.
+    struct StorageObs {
+        sample_reads: Counter = STORAGE_SAMPLE_READS,
+        sample_bytes: Counter = STORAGE_SAMPLE_BYTES,
+        sample_read: Histogram = STORAGE_SAMPLE_READ,
+        package_reads: Counter = STORAGE_PACKAGE_READS,
+        package_bytes: Counter = STORAGE_PACKAGE_BYTES,
+        package_read: Histogram = STORAGE_PACKAGE_READ,
+    }
+}
+
+/// The one place a backend counts a read: its own [`StorageStats`]
+/// (per backend, resettable) and the `storage.*` metrics of the shared
+/// [`Obs`](icache_obs::Obs) (run-wide) move together.
+#[derive(Debug, Clone)]
+pub(crate) struct ReadLedger {
+    pub(crate) stats: StorageStats,
+    obs: StorageObs,
+}
+
+impl ReadLedger {
+    /// Zeroed stats, recording into a detached handle until
+    /// [`ReadLedger::set_obs`].
+    pub(crate) fn new() -> Self {
+        ReadLedger {
+            stats: StorageStats::default(),
+            obs: StorageObs::new(icache_obs::Obs::noop()),
+        }
+    }
+
+    pub(crate) fn set_obs(&mut self, obs: icache_obs::Obs) {
+        self.obs = StorageObs::new(obs);
+    }
+
+    pub(crate) fn record_sample(&mut self, bytes: ByteSize, latency: SimDuration) {
+        self.stats.record_sample(bytes, latency);
+        self.obs.sample_reads.inc();
+        self.obs.sample_bytes.add(bytes.as_u64());
+        self.obs.sample_read.observe(latency);
+    }
+
+    pub(crate) fn record_package(&mut self, bytes: ByteSize, latency: SimDuration) {
+        self.stats.record_package(bytes, latency);
+        self.obs.package_reads.inc();
+        self.obs.package_bytes.add(bytes.as_u64());
+        self.obs.package_read.observe(latency);
+    }
+}
+
 impl icache_obs::ToJson for StorageStats {
     fn to_json(&self) -> icache_obs::Json {
         icache_obs::json!({

@@ -118,6 +118,21 @@ fn kill_and_rejoin_repartitions_without_losing_samples() {
         }
     }
 
+    // Rank k fetches through node k: across the kill and the rejoin
+    // node 1's `dist.node1.*` counters are still the same three cells,
+    // so every node's buckets cover exactly its rank's fetches.
+    for (k, run) in runs.iter().enumerate() {
+        let fetched: u64 = run.epochs.iter().map(|e| e.samples_fetched).sum();
+        let classified: u64 = ["local_hits", "remote_hits", "storage_fetches"]
+            .iter()
+            .map(|bucket| obs.counter(&format!("dist.node{k}.{bucket}")))
+            .sum();
+        assert_eq!(
+            classified, fetched,
+            "node {k} lost or double-counted fetches"
+        );
+    }
+
     assert_directory_consistent(&svc, &obs);
 }
 

@@ -3,11 +3,13 @@
 //! agrees with the cluster's own accounting, and the directory's
 //! insert/remove counters reconcile with its final size.
 
+mod common;
+
 use icache::core::{CacheService, ServiceConfig};
 use icache::dnn::ModelProfile;
 use icache::obs::Obs;
 use icache::sim::{run_multi_job_with_obs, JobConfig, RunMetrics, SamplingMode};
-use icache::storage::{Nfs, NfsConfig};
+use icache::storage::{Nfs, NfsConfig, StorageBackend, StorageStats};
 use icache::types::{Dataset, JobId};
 
 const EPOCHS: u32 = 3;
@@ -25,7 +27,7 @@ fn shard_jobs(dataset: &Dataset, nodes: u32) -> Vec<JobConfig> {
         .collect()
 }
 
-fn run_cluster(nodes: u32) -> (Vec<RunMetrics>, CacheService, Obs) {
+fn run_cluster(nodes: u32) -> (Vec<RunMetrics>, CacheService, Obs, StorageStats) {
     let dataset = Dataset::cifar10().scaled(0.04).expect("scale");
     let config = ServiceConfig::for_dataset(&dataset, nodes as usize, 0.2).expect("cfg");
     let mut cluster = CacheService::new(config, &dataset).expect("cluster");
@@ -33,7 +35,7 @@ fn run_cluster(nodes: u32) -> (Vec<RunMetrics>, CacheService, Obs) {
     let obs = Obs::new();
     let runs = run_multi_job_with_obs(shard_jobs(&dataset, nodes), &mut cluster, &mut nfs, &obs)
         .expect("runs");
-    (runs, cluster, obs)
+    (runs, cluster, obs, nfs.stats())
 }
 
 fn node_counter(obs: &Obs, node: usize, suffix: &str) -> u64 {
@@ -42,7 +44,7 @@ fn node_counter(obs: &Obs, node: usize, suffix: &str) -> u64 {
 
 #[test]
 fn per_node_classification_covers_every_fetch() {
-    let (runs, cluster, obs) = run_cluster(4);
+    let (runs, cluster, obs, _) = run_cluster(4);
     let fetched: u64 = runs
         .iter()
         .flat_map(|m| m.epochs.iter().map(|e| e.samples_fetched))
@@ -68,7 +70,7 @@ fn per_node_classification_covers_every_fetch() {
 
 #[test]
 fn registry_remote_hits_match_the_cluster_accounting() {
-    let (_, cluster, obs) = run_cluster(4);
+    let (_, cluster, obs, _) = run_cluster(4);
     assert!(cluster.remote_hits() > 0, "no peer traffic to check");
     assert_eq!(obs.counter("dist.remote_hits"), cluster.remote_hits());
     let per_node: u64 = (0..cluster.node_count())
@@ -90,7 +92,7 @@ fn registry_remote_hits_match_the_cluster_accounting() {
 
 #[test]
 fn directory_len_reconciles_with_insert_and_remove_counters() {
-    let (_, cluster, obs) = run_cluster(2);
+    let (_, cluster, obs, _) = run_cluster(2);
     let inserts = obs.counter("dist.directory.inserts");
     let removes = obs.counter("dist.directory.removes");
     assert!(inserts > 0, "a training run must populate the directory");
@@ -107,7 +109,7 @@ fn directory_len_reconciles_with_insert_and_remove_counters() {
 
 #[test]
 fn cluster_runs_publish_gauges_and_epoch_markers() {
-    let (_, cluster, obs) = run_cluster(2);
+    let (_, cluster, obs, _) = run_cluster(2);
     assert_eq!(obs.gauge("dist.nodes"), Some(cluster.node_count() as f64));
     assert!(
         obs.gauge("cache.h_capacity").is_some_and(|v| v > 0.0),
@@ -122,4 +124,16 @@ fn cluster_runs_publish_gauges_and_epoch_markers() {
     // Rank 0 alone marks epochs, so one pair per epoch — not per shard.
     assert_eq!(counts.get("epoch_start"), Some(&(EPOCHS as u64)));
     assert_eq!(counts.get("epoch_end"), Some(&(EPOCHS as u64)));
+}
+
+/// One `Obs` is shared by every node, so a `cache.*` counter is the sum
+/// of the nodes' own `CacheStats` — the `icache_sim --nodes 3` shape.
+#[test]
+fn run_wide_cache_counters_are_the_sum_of_the_nodes_own_stats() {
+    let (_, cluster, obs, storage) = run_cluster(3);
+    let per_node: Vec<_> = (0..cluster.node_count())
+        .map(|i| cluster.node(i).stats())
+        .collect();
+    assert!(per_node.iter().all(|s| s.requests() > 0));
+    common::assert_registry_matches_ledgers(&obs, &per_node, storage);
 }
